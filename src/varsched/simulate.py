@@ -330,44 +330,42 @@ def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
         pools = [stocks[h, t] + scenario.inflows[h, t].sum() for h in range(H)]
         rows = [tb.continuation(t) for tb in tables.hydro]
 
+        def dispatch(on):
+            """Day dispatch with contracts ``on``, scored without contracts."""
+            extra = np.zeros(L)
+            for k in range(K):
+                if on[k]:
+                    extra += units.ejp[k].power * frame.durations[t]
+            book = _DayBook(order, tcosts, pools, x_mins, grids, rows)
+            fuel, short, tused, _ = _dispatch_day(
+                scenario.demand[t], tcaps, hydro_caps, book, extra)
+            ends = [min(book.pools[h], units.hydro[h].x_max) for h in range(H)]
+            score = fuel + short * pen
+            for h in range(H):
+                score -= float(np.interp(ends[h], grids[h], rows[h]))
+            return score, fuel, short, tused, ends
+
+        # the day as dispatched so far is each contract's choice-0 trial
         on = np.zeros(K, dtype=int)
+        day = dispatch(on)
         for k in range(K):
             if remaining[k] < 1:
                 continue
-            scores = []
-            for choice in (0, 1):
-                on_try = on.copy()
-                on_try[k] = choice
-                extra = np.zeros(L)
-                for kk in range(K):
-                    if on_try[kk]:
-                        extra += units.ejp[kk].power * frame.durations[t]
-                book = _DayBook(order, tcosts, pools, x_mins, grids, rows)
-                fuel, short, _, _ = _dispatch_day(
-                    scenario.demand[t], tcaps, hydro_caps, book, extra)
-                score = fuel + short * pen
-                for h in range(H):
-                    end = min(book.pools[h], units.hydro[h].x_max)
-                    score -= float(np.interp(end, grids[h], rows[h]))
-                crow = tables.ejp[k].continuation(t)
-                score -= float(crow[remaining[k] - choice])
-                scores.append(score)
-            if scores[1] < scores[0]:
-                on[k] = 1
+            crow = tables.ejp[k].continuation(t)
+            on[k] = 1
+            trial = dispatch(on)
+            if (trial[0] - float(crow[remaining[k] - 1])
+                    < day[0] - float(crow[remaining[k]])):
+                day = trial
                 remaining[k] -= 1
+            else:
+                on[k] = 0
 
-        extra = np.zeros(L)
-        for k in range(K):
-            if on[k]:
-                extra += units.ejp[k].power * frame.durations[t]
-        book = _DayBook(order, tcosts, pools, x_mins, grids, rows)
-        fuel, short, tused, _ = _dispatch_day(
-            scenario.demand[t], tcaps, hydro_caps, book, extra)
+        _, fuel, short, tused, ends = day
         fuel_total += fuel
         unserved_total += short
         thermal_energy += tused.sum(axis=1)
-        for h in range(H):
-            stocks[h, t + 1] = min(book.pools[h], units.hydro[h].x_max)
+        stocks[:, t + 1] = ends
 
     credit = 0.0
     for h, u in enumerate(units.hydro):
