@@ -48,8 +48,8 @@ def _env(name: str, default=None):
 
 
 def _csv_cell(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, (float, np.floating)):
+        return repr(float(x))   # NumPy 2 reprs its scalars as np.float64(x)
     return str(x)
 
 

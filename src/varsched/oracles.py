@@ -42,15 +42,12 @@ class RiskConfig:
 class RunMode:
     """Which robustifications are active, and at what safety level.
 
-    ``kind`` is one of nominal / var_fa / var_benef / mixt.  The kappa
-    factors normally come from the risk config; explicit overrides are
-    for experiments (0 reproduces the nominal pieces exactly).
+    ``kind`` is one of nominal / var_fa / var_benef / mixt; the kappa
+    factors of the active robustifications come from the risk config.
     """
 
     kind: str = "nominal"
     risk: RiskConfig = RiskConfig()
-    kappa_demand_override: float | None = None
-    kappa_thermal_override: float | None = None
 
     def __post_init__(self):
         if self.kind not in MODES:
@@ -67,15 +64,11 @@ class RunMode:
     def kappa_demand(self) -> float:
         if not self.robust_demand:
             return 0.0
-        if self.kappa_demand_override is not None:
-            return self.kappa_demand_override
         return kappa(self.risk.eps_demand, self.risk.kappa_mode)
 
     def kappa_thermal(self) -> float:
         if not self.robust_thermal:
             return 0.0
-        if self.kappa_thermal_override is not None:
-            return self.kappa_thermal_override
         return kappa(self.risk.eps_thermal, self.risk.kappa_mode)
 
 
@@ -163,11 +156,8 @@ def theta_thermal_var(lam: np.ndarray, tree: ScenarioTree, unit: ThermalUnit,
     if rho >= 1.0:
         z = np.zeros((tree.num_nodes, tree.num_posts))
         return 0.0, z, 0.0
-    coef = tree.prob[:, None] * unit.cost - tree.cells(lam)
-    bound = (tree.thermal_programmed[:, unit_index:unit_index + 1]
-             * unit.p_max * tree.durations)
-    dispatch = np.where(coef < 0.0, bound, 0.0)
-    return float((1.0 - rho) * (coef * dispatch).sum()), dispatch, 1.0 - rho
+    value, dispatch = theta_thermal(lam, tree, unit, unit_index)
+    return (1.0 - rho) * value, dispatch, 1.0 - rho
 
 
 # -------------------------------------------------------------- hydro
@@ -180,8 +170,8 @@ class HydroDual:
     terminal: np.ndarray    # stock after each leaf day, tree.leaves order
 
 
-def _hydro_value_functions(lam: np.ndarray, tree: ScenarioTree,
-                           unit: HydroUnit, h: int):
+def hydro_value_functions(lam: np.ndarray, tree: ScenarioTree,
+                          unit: HydroUnit, h: int):
     """Backward pass: exact concave value-to-go of stock at each node.
 
     ``W[i]`` values stock entering node i's day; ``G[i]`` values stock
@@ -224,7 +214,7 @@ def theta_hydro(lam: np.ndarray, tree: ScenarioTree, unit: HydroUnit, h: int
     price ties conservatively (store, then spill, then release in post
     order).
     """
-    W, G, prices, caps, a = _hydro_value_functions(lam, tree, unit, h)
+    W, G, prices, caps, a = hydro_value_functions(lam, tree, unit, h)
     N, L = tree.num_nodes, tree.num_posts
     root = int(np.flatnonzero(tree.father_index < 0)[0])
     value = -float(W[root](unit.x0))
@@ -266,19 +256,22 @@ def theta_hydro(lam: np.ndarray, tree: ScenarioTree, unit: HydroUnit, h: int
 
 # ---------------------------------------------------------------- ejp
 
-def theta_ejp(lam: np.ndarray, tree: ScenarioTree, contract: EjpContract):
-    """Whole-day contract subproblem by integer DP over remaining days.
+def ejp_value_table(lam: np.ndarray, tree: ScenarioTree,
+                    contract: EjpContract):
+    """Backward pass: value of each count of remaining contract days.
 
-    Returns ``(value, on)`` with ``on[i]`` in {0, 1}; ties go to not
-    using the day.
+    ``best[i, x]`` values entering node i's day with x days left,
+    ``cont[i, x]`` leaving it with x days left (sum of sons' best, or
+    the probability-weighted terminal table at leaves); ``r[i]`` is the
+    reward of using node i's day.  Returns ``(best, cont, r)``.
     """
     prices = tree.cells(lam)
     r = (prices * tree.durations).sum(axis=1) * contract.power
     J = contract.days
     vj = np.array(contract.value_table)
     N = tree.num_nodes
-    best = np.empty((N, J + 1))   # value with x days left entering node i
-    cont = np.empty((N, J + 1))   # value of x days left after node i's day
+    best = np.empty((N, J + 1))
+    cont = np.empty((N, J + 1))
     for i in range(N - 1, -1, -1):
         sons = tree.sons[i]
         if sons.size == 0:
@@ -287,7 +280,18 @@ def theta_ejp(lam: np.ndarray, tree: ScenarioTree, contract: EjpContract):
             cont[i] = best[sons].sum(axis=0)
         best[i] = cont[i]
         best[i, 1:] = np.maximum(cont[i, 1:], r[i] + cont[i, :-1])
+    return best, cont, r
 
+
+def theta_ejp(lam: np.ndarray, tree: ScenarioTree, contract: EjpContract):
+    """Whole-day contract subproblem by integer DP over remaining days.
+
+    Returns ``(value, on)`` with ``on[i]`` in {0, 1}; ties go to not
+    using the day.
+    """
+    best, cont, r = ejp_value_table(lam, tree, contract)
+    J = contract.days
+    N = tree.num_nodes
     root = int(np.flatnonzero(tree.father_index < 0)[0])
     on = np.zeros(N, dtype=int)
     remaining = np.empty(N, dtype=int)

@@ -1,15 +1,18 @@
 """Bellman value tables from optimal multipliers, and Monte Carlo dispatch.
 
-Once the dual is maximized, the multipliers induce water values: a
-backward recursion over the tree prices each reservoir's stock (and
-each contract's remaining days) with the node-local conditional prices
-``lam* / pi``.  Aggregating node tables per day gives the management
-strategy used in simulation: each simulated day dispatches thermal
-units, water tranches and contract days against realized demand by
-marginal cost, where water's marginal cost is the slope of the next
-day's aggregated table.  Simulated cost is fuel plus unserved-energy
-penalty minus terminal stock credits; water itself is free, its
-opportunity cost only steers the merit order.
+Once the dual is maximized, the multipliers induce water values: the
+dual oracle's own backward recursions price each reservoir's stock
+(the exact concave value functions of ``oracles.hydro_value_functions``)
+and each contract's remaining days (``oracles.ejp_value_table``).  The
+tables sample those value functions on a stock grid and divide each
+node's row by its probability, which turns the probability-weighted
+values of the dual into node-conditional ones.  Aggregating node rows
+per day gives the management strategy used in simulation: each
+simulated day dispatches thermal units, water tranches and contract
+days against realized demand by marginal cost, where water's marginal
+cost is the slope of the next day's aggregated row.  Simulated cost is
+fuel plus unserved-energy penalty minus terminal stock credits; water
+itself is free, its opportunity cost only steers the merit order.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .oracles import ejp_value_table, hydro_value_functions
 from .tree import Scenario, ScenarioTree
 from .units import EjpContract, HydroUnit, UnitSet
 
@@ -28,7 +32,8 @@ class BellmanTable:
     """Stock value per node and per day on a fixed grid.
 
     ``node_values[i, j]`` is the value of entering node i's day with
-    stock ``grid[j]``, the leaf days included.  ``step_values[t]``
+    stock ``grid[j]``, the leaf days included, conditional on reaching
+    node i (zero for nodes of probability zero).  ``step_values[t]``
     aggregates day t's nodes by probability; the extra last row is the
     terminal value.  The value used after day t's dispatch is
     ``continuation(t)``: the next day's aggregated row, or the terminal
@@ -52,86 +57,40 @@ class Tables:
     ejp: list = field(default_factory=list)
 
 
-def _conditional_prices(tree: ScenarioTree, lam: np.ndarray) -> np.ndarray:
-    cells = tree.cells(np.asarray(lam, dtype=float))
-    out = np.zeros_like(cells)
-    np.divide(cells, tree.prob[:, None], out=out,
+def _table(tree: ScenarioTree, kind: str, name: str, grid: np.ndarray,
+           weighted: np.ndarray, terminal: np.ndarray) -> BellmanTable:
+    """Table from probability-weighted node rows and the terminal row."""
+    node_values = np.zeros_like(weighted)
+    np.divide(weighted, tree.prob[:, None], out=node_values,
               where=tree.prob[:, None] > 0.0)
-    return out
-
-
-def _aggregate(tree: ScenarioTree, node_values: np.ndarray) -> np.ndarray:
-    T, G = tree.num_days, node_values.shape[1]
-    step = np.zeros((T, G))
-    for t in range(T):
-        idx = tree.nodes_at_time[t]
-        step[t] = tree.prob[idx] @ node_values[idx]
-    return step
+    steps = np.empty((tree.num_days + 1, grid.size))
+    for t, idx in enumerate(tree.nodes_at_time):
+        steps[t] = tree.prob[idx] @ node_values[idx]
+    steps[-1] = terminal
+    return BellmanTable(kind=kind, name=name, grid=grid,
+                        node_values=node_values, step_values=steps)
 
 
 def compute_bellman_hydro(tree: ScenarioTree, lam: np.ndarray, unit: HydroUnit,
                           h: int, grid_size: int = 101) -> BellmanTable:
-    """Water value table by backward recursion with conditional prices.
+    """Water value table: the oracle's exact value functions on a grid.
 
-    At each node the day's release total is optimized exactly over the
-    candidate kinks (price breakpoints and continuation grid points);
-    surplus beyond the storage cap spills, stored water is valued by
-    linear interpolation of the sons' tables.
+    Row i samples the concave value-to-go ``W[i]`` of the reservoir
+    subproblem at ``grid_size`` stocks evenly spaced over [x_min, x_max].
     """
     grid = np.linspace(unit.x_min, unit.x_max, grid_size)
-    prices = _conditional_prices(tree, lam)
-    caps = tree.hydro_programmed[:, h:h + 1] * unit.p_max * tree.durations
-    day_inflow = tree.inflows[h].sum(axis=1)
-    N, G = tree.num_nodes, grid.size
-    terminal = unit.terminal_value(grid)
-    node_values = np.empty((N, G))
-    for i in range(N - 1, -1, -1):
-        sons = tree.sons[i]
-        if sons.size == 0:
-            cont = terminal
-        else:
-            cont = tree.trans_prob[sons] @ node_values[sons]
-        order = np.argsort(-prices[i], kind="stable")
-        order = order[(prices[i][order] > 0.0) & (caps[i][order] > 0.0)]
-        bp = np.concatenate(([0.0], np.cumsum(caps[i][order])))
-        rv = np.concatenate(([0.0], np.cumsum(prices[i][order] * caps[i][order])))
-        resource = grid + day_inflow[i]
-        v_hi = np.minimum(bp[-1], resource - unit.x_min)
-        cand = np.concatenate([
-            np.broadcast_to(bp, (G, bp.size)),
-            resource[:, None] - grid[None, :],
-            (resource - unit.x_max)[:, None],
-            v_hi[:, None],
-        ], axis=1)
-        cand = np.clip(cand, 0.0, v_hi[:, None])
-        y = np.minimum(resource[:, None] - cand, unit.x_max)
-        obj = np.interp(cand, bp, rv) + np.interp(y, grid, cont)
-        node_values[i] = obj.max(axis=1)
-    steps = np.vstack([_aggregate(tree, node_values), terminal])
-    return BellmanTable(kind="hydro", name=unit.name, grid=grid,
-                        node_values=node_values, step_values=steps)
+    W = hydro_value_functions(lam, tree, unit, h)[0]
+    return _table(tree, "hydro", unit.name, grid,
+                  np.array([w(grid) for w in W]), unit.terminal_value(grid))
 
 
 def compute_bellman_ejp(tree: ScenarioTree, lam: np.ndarray,
                         contract: EjpContract) -> BellmanTable:
-    """Contract-day value table on the integer grid 0..days."""
+    """Contract-day value table: the oracle's DP on the grid 0..days."""
     grid = np.arange(contract.days + 1, dtype=float)
-    prices = _conditional_prices(tree, lam)
-    reward = (prices * tree.durations).sum(axis=1) * contract.power
-    vj = np.array(contract.value_table)
-    N = tree.num_nodes
-    node_values = np.empty((N, grid.size))
-    for i in range(N - 1, -1, -1):
-        sons = tree.sons[i]
-        if sons.size == 0:
-            cont = vj
-        else:
-            cont = tree.trans_prob[sons] @ node_values[sons]
-        node_values[i] = cont
-        node_values[i, 1:] = np.maximum(cont[1:], reward[i] + cont[:-1])
-    steps = np.vstack([_aggregate(tree, node_values), vj])
-    return BellmanTable(kind="ejp", name=contract.name, grid=grid,
-                        node_values=node_values, step_values=steps)
+    best = ejp_value_table(lam, tree, contract)[0]
+    return _table(tree, "ejp", contract.name, grid, best,
+                  np.array(contract.value_table))
 
 
 def compute_bellman(tree: ScenarioTree, lam: np.ndarray, units: UnitSet,
@@ -172,7 +131,6 @@ def expected_frame(tree: ScenarioTree) -> SimFrame:
 @dataclass(frozen=True)
 class SimOptions:
     penalty_factor: float = 10.0       # unserved price = factor * dearest fuel
-    include_terminal_value: bool = True
 
 
 @dataclass
@@ -301,7 +259,7 @@ def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
     and without each live contract and the variant with the lower score
     (dispatch cost minus continuation values) wins, ties resolving to
     keeping the day.  With several contracts the decisions are taken
-    greedily in unit order.
+    greedily in unit order; the winning dispatch is the day's outcome.
     """
     T, L = scenario.demand.shape
     U, H, K = units.num_thermal, units.num_hydro, units.num_ejp
@@ -372,9 +330,7 @@ def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
         credit += float(u.terminal_value(stocks[h, T]))
     for k, c in enumerate(units.ejp):
         credit += c.value_table[remaining[k]]
-    cost = fuel_total + unserved_total * pen
-    if options.include_terminal_value:
-        cost -= credit
+    cost = fuel_total + unserved_total * pen - credit
     return SimResult(cost=cost, fuel_cost=fuel_total,
                      unserved_cost=unserved_total * pen,
                      unserved_energy=unserved_total, terminal_credit=credit,

@@ -97,6 +97,11 @@ def test_optimize_then_simulate_artifacts(demo_dir, tmp_path):
     rows = (out / "nominal" / "costs.csv").read_text().strip().split("\n")
     scens = json.loads((demo_dir / "scenarios.json").read_text())
     assert len(rows) == 1 + scens["num_scenarios"]
+    for name in ("costs.csv", "stats.csv"):
+        lines = (out / "nominal" / name).read_text().strip().split("\n")
+        for line in lines[1:]:
+            for cell in line.split(","):
+                float(cell)   # plain numbers, whatever NumPy's repr
 
 
 def run_flags(demo_dir, out, *modes, eps=()):

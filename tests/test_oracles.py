@@ -498,16 +498,3 @@ def test_mode_value_ordering():
         assert th["var_benef"] >= th["nominal"] - tol
         assert th["var_fa"] <= th["mixt"] + tol
         assert th["mixt"] <= th["var_benef"] + tol
-
-
-def test_zero_kappa_overrides_reduce_to_nominal(units3):
-    tree, _ = small_synth(units3)
-    lam = default_multiplier(tree, units3)
-    base = evaluate_dual(lam, tree, units3)
-    for kind in ("var_fa", "var_benef", "mixt"):
-        mode = RunMode(kind=kind, kappa_demand_override=0.0,
-                       kappa_thermal_override=0.0)
-        ev = evaluate_dual(lam, tree, units3, mode,
-                           cov=calibrate_tree_covariance(tree))
-        assert ev.theta == base.theta
-        np.testing.assert_array_equal(ev.supergradient, base.supergradient)

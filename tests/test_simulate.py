@@ -5,7 +5,7 @@ import pytest
 
 from varsched.oracles import default_multiplier, theta_ejp, theta_hydro
 from varsched.simulate import (
-    CostReport, SimOptions, compute_bellman, compute_bellman_ejp,
+    CostReport, compute_bellman, compute_bellman_ejp,
     compute_bellman_hydro, empirical_quantile, expected_frame,
     reservoir_week_stats, run_monte_carlo, simulate_scenario, week_runs)
 from varsched.tree import Scenario
@@ -33,22 +33,24 @@ def test_hydro_table_hand_case():
 
 
 def test_hydro_table_agrees_with_exact_oracle():
-    # integer data puts every kink on the 1 MWh grid: the table at x0
-    # must reproduce the exact subproblem value
+    # the table samples the oracle's value functions: at any grid stock
+    # x0 it reproduces the exact subproblem value, kinks between grid
+    # points included (non-integer prices, inflows and knees)
     rng = np.random.default_rng(61)
     for _ in range(6):
         T = int(rng.integers(2, 5))
-        inflows = [[[float(rng.integers(0, 3))]] for _ in range(T)]
+        inflows = [[[float(rng.uniform(0.0, 2.5))]] for _ in range(T)]
         tree = chain_tree([[0.0]] * T, durations=(8.0,), inflow_rows=inflows)
         x_max = int(rng.integers(6, 12))
-        knee = int(rng.integers(1, x_max))
+        knee = float(rng.uniform(0.5, x_max - 0.5))
         unit = HydroUnit("r", 0.0, float(x_max), float(rng.integers(0, x_max)),
-                         0.5, ((0.0, 0.0), (float(knee), 3.0 * knee),
-                               (float(x_max), 3.0 * knee + (x_max - knee))))
+                         0.37, ((0.0, 0.0), (knee, 3.0 * knee),
+                                (float(x_max), 3.0 * knee + (x_max - knee))))
         lam = rng.uniform(0.0, 6.0, tree.dim)
         tb = compute_bellman_hydro(tree, lam, unit, 0, grid_size=x_max + 1)
         plan = theta_hydro(lam, tree, unit, 0)
         j = int(round(unit.x0))
+        assert tb.grid[j] == unit.x0
         assert tb.node_values[0][j] == pytest.approx(-plan.value,
                                                      rel=1e-9, abs=1e-7)
 
@@ -119,6 +121,7 @@ def test_dispatch_water_price_steers_merit_order():
     np.testing.assert_allclose(res.stocks, [[400.0, 200.0]])
     assert res.fuel_cost == pytest.approx(5000.0)
     # credit for the 200 MWh left: cost = 5000 - 20 * 200
+    assert res.terminal_credit == pytest.approx(20.0 * 200.0)
     assert res.cost == pytest.approx(1000.0)
     assert res.unserved_energy == 0.0
 
@@ -199,12 +202,30 @@ def test_ejp_day_kept_when_credit_wins():
     assert res.cost == pytest.approx(16000.0 - 2500.0)
 
 
-def test_cost_without_terminal_credit():
-    units, tree, tables, scenario = one_day_setup(700.0)
-    res = simulate_scenario(scenario, expected_frame(tree), units, tables,
-                            SimOptions(include_terminal_value=False))
-    assert res.cost == pytest.approx(res.fuel_cost)
-    assert res.terminal_credit == pytest.approx(20.0 * 200.0)
+@pytest.mark.parametrize("demand, remaining, fuel", [
+    # contract a (200 MWh, keep 1500) saves 2000 and is called first;
+    # with it on, b (300 MWh, keep 2500) saves only the 2000 left
+    (400.0, [0, 1], 2000.0),
+    # with a on, b still saves 3000 of the 600 MWh left: both called
+    (800.0, [0, 0], 3000.0),
+])
+def test_two_contracts_decided_greedily_in_unit_order(demand, remaining, fuel):
+    units = UnitSet(
+        thermal=[ThermalUnit("cheap", 10.0, 100.0, 2, 0.9)],
+        ejp=[EjpContract("a", 1, 20.0, (0.0, 1500.0)),
+             EjpContract("b", 1, 30.0, (0.0, 2500.0))])
+    tree = chain_tree([[demand]], durations=(10.0,), num_thermal=1)
+    tables = compute_bellman(tree, np.zeros(tree.dim), units)
+    scenario = Scenario(demand=np.array([[demand]]),
+                        inflows=np.zeros((0, 1, 1)),
+                        thermal_avail=np.ones((1, 1)))
+    res = simulate_scenario(scenario, expected_frame(tree), units, tables)
+    np.testing.assert_array_equal(res.ejp_remaining, remaining)
+    np.testing.assert_allclose(res.thermal_energy, [fuel / 10.0])
+    assert res.fuel_cost == pytest.approx(fuel)
+    credit = 2500.0 * remaining[1]
+    assert res.terminal_credit == pytest.approx(credit)
+    assert res.cost == pytest.approx(fuel - credit)
 
 
 # ----------------------------------------------------------- statistics
