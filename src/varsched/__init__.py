@@ -22,7 +22,7 @@ from .simulate import (BellmanTable, CostReport, ReservoirStats, SimOptions,
 from .synth import SynthConfig, generate_synthetic
 from .tree import Node, Scenario, ScenarioTree, check_scenario, validate_tree
 from .units import (AvailabilityModel, EjpContract, HydroUnit, ThermalUnit,
-                    UnitSet, availability_probability, thermal_energy_bound)
+                    UnitSet, thermal_energy_bound)
 
 __version__ = "0.1.0"
 

@@ -145,109 +145,88 @@ class SimResult:
     thermal_energy: np.ndarray  # (U,) total MWh over the year
 
 
-def _tranches(pool: float, x_min: float, grid: np.ndarray, row: np.ndarray):
-    """Water tranches from the top of the pool down to x_min.
+def _tranches(pool: float, grid: np.ndarray, row: np.ndarray):
+    """Water tranches from the top of the pool down to the floor grid[0].
 
-    Returns parallel lists (amount, price); a tranche's price is the
-    slope of the continuation table across its stock band, clipped at
-    zero.  Consumption must follow list order: water comes off the top
-    whatever the prices do.
+    Returns parallel lists (amount, price): the grid bands below the
+    pool level whose top lies more than 1e-9 above the floor, the top
+    one cut at the level, read from the top down after a free tranche
+    for any surplus above the cap.  A tranche's
+    price is the slope of the continuation row across its band, clipped
+    at zero.  Consumption must follow list order: water comes off the
+    top whatever the prices do.
     """
-    amounts, prices = [], []
     level = min(pool, grid[-1])
+    lo, hi = grid[:-1], np.minimum(grid[1:], level)
+    keep = (lo < level) & (hi > grid[0] + 1e-9)
+    amounts = (hi - lo)[keep][::-1].tolist()
+    prices = np.maximum(np.diff(row) / np.diff(grid), 0.0)[keep][::-1].tolist()
     if pool > grid[-1]:  # above the cap: surplus water is free
-        amounts.append(pool - grid[-1])
-        prices.append(0.0)
-    j = int(np.searchsorted(grid, level, side="left"))
-    while level > x_min + 1e-9:
-        lo = max(float(grid[j - 1]), x_min) if j >= 1 else x_min
-        if lo >= level:
-            break
-        seg = min(j, grid.size - 1)
-        slope = (row[seg] - row[seg - 1]) / (grid[seg] - grid[seg - 1])
-        amounts.append(level - lo)
-        prices.append(max(float(slope), 0.0))
-        level = lo
-        j -= 1
+        amounts.insert(0, pool - grid[-1])
+        prices.insert(0, 0.0)
     return amounts, prices
 
 
-class _DayBook:
-    """Marginal supply state for one simulated day."""
+def _dispatch_day(demand, tcaps, hydro_caps, order, tcosts, pools, tranches,
+                  extra):
+    """Serve one day's posts by marginal price.
 
-    def __init__(self, order, tcosts, pools, x_mins, grids, rows):
-        self.order = order          # thermal units sorted by (cost, index)
-        self.tcosts = tcosts
-        self.pools = list(pools)
-        self.tr = [_tranches(p, m, g, r)
-                   for p, m, g, r in zip(pools, x_mins, grids, rows)]
-        self.ti = [0] * len(pools)
-
-    def head(self, h):
-        amounts, prices = self.tr[h]
-        i = self.ti[h]
-        while i < len(amounts) and amounts[i] <= 1e-12:
-            i += 1
-        self.ti[h] = i
-        if i >= len(amounts):
-            return None
-        return amounts[i], prices[i]
-
-
-def _dispatch_day(demand, tcaps, hydro_caps, book, extra):
-    """Serve one day's posts by marginal price; mutates ``book``.
-
-    ``extra`` is per-post must-take energy (contract days).  Thermal
-    wins price ties, then reservoirs in unit order.  Energy goes
-    unserved (priced at the penalty) only once every physical source is
-    empty: a water tranche above the penalty is a table artifact, not a
-    reason to shed load while the reservoir still holds something.
-    Returns (fuel, unserved, thermal_used, hydro_used).
+    ``order`` lists the thermal units by (cost, index) and ``tranches``
+    holds each reservoir's ``_tranches`` of its start ``pools``; neither
+    is modified.  ``extra`` is per-post must-take energy (contract
+    days).  Thermal wins price ties, then reservoirs in unit order.
+    Energy goes unserved (priced at the penalty) only once every
+    physical source is empty: a water tranche above the penalty is a
+    table artifact, not a reason to shed load while the reservoir still
+    holds something.  Returns (fuel, unserved, thermal_used, ends):
+    the fuel cost, the unserved energy, the (U, L) thermal energy per
+    post and each reservoir's pool after the day.
     """
     U, L = tcaps.shape
-    H = len(book.pools)
+    ends = list(pools)
+    amounts = [list(a) for a, _ in tranches]
+    prices = [p for _, p in tranches]
+    heads = [0] * len(ends)
     fuel = 0.0
     unserved = 0.0
     thermal_used = np.zeros((U, L))
-    hydro_used = np.zeros((H, L))
     for p in range(L):
         need = demand[p] - min(extra[p], demand[p])
         tcap = tcaps[:, p].copy()
         hcap = hydro_caps[:, p].copy()
         while need > 1e-9:
-            src = None
+            unit, water = None, False
             best = np.inf
-            for u in book.order:
+            for u in order:
                 if tcap[u] > 1e-12:
-                    if book.tcosts[u] < best:
-                        best, src = book.tcosts[u], ("t", u)
+                    if tcosts[u] < best:
+                        best, unit = tcosts[u], u
                     break
-            for h in range(H):
+            for h, a in enumerate(amounts):
                 if hcap[h] <= 1e-12:
                     continue
-                head = book.head(h)
-                if head is not None and head[1] < best:
-                    best, src = head[1], ("h", h)
-            if src is None:
+                i = heads[h]
+                while i < len(a) and a[i] <= 1e-12:
+                    i += 1
+                heads[h] = i
+                if i < len(a) and prices[h][i] < best:
+                    best, unit, water = prices[h][i], h, True
+            if unit is None:
                 unserved += need
                 break
-            if src[0] == "t":
-                u = src[1]
-                qty = min(need, tcap[u])
-                tcap[u] -= qty
-                fuel += qty * book.tcosts[u]
-                thermal_used[u, p] += qty
+            if water:
+                a, i = amounts[unit], heads[unit]
+                qty = min(need, hcap[unit], a[i])
+                a[i] -= qty
+                hcap[unit] -= qty
+                ends[unit] -= qty
             else:
-                h = src[1]
-                amounts, _ = book.tr[h]
-                i = book.ti[h]
-                qty = min(need, hcap[h], amounts[i])
-                amounts[i] -= qty
-                hcap[h] -= qty
-                book.pools[h] -= qty
-                hydro_used[h, p] += qty
+                qty = min(need, tcap[unit])
+                tcap[unit] -= qty
+                fuel += qty * tcosts[unit]
+                thermal_used[unit, p] += qty
             need -= qty
-    return fuel, unserved, thermal_used, hydro_used
+    return fuel, unserved, thermal_used, ends
 
 
 def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
@@ -266,8 +245,9 @@ def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
     tcosts = np.array([u.cost for u in units.thermal])
     order = sorted(range(U), key=lambda u: (tcosts[u], u))
     pen = options.penalty_factor * (tcosts.max() if U else 1.0)
-    x_mins = [u.x_min for u in units.hydro]
-    grids = [tb.grid for tb in tables.hydro]
+    tpmax = np.array([u.p_max for u in units.thermal])
+    hpmax = np.array([u.p_max for u in units.hydro])
+    grids = [tb.grid for tb in tables.hydro]    # each spans [x_min, x_max]
 
     stocks = np.empty((H, T + 1))
     stocks[:, 0] = [u.x0 for u in units.hydro]
@@ -277,30 +257,27 @@ def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
     thermal_energy = np.zeros(U)
 
     for t in range(T):
-        tcaps = (scenario.thermal_avail[:, t] * frame.thermal_programmed[t]
-                 )[:, None] * np.array([u.p_max for u in units.thermal]
-                                       )[:, None] if U else np.zeros((0, L))
-        if U:
-            tcaps = tcaps * frame.durations[t][None, :]
-        hydro_caps = (frame.hydro_programmed[t][:, None]
-                      * np.array([u.p_max for u in units.hydro])[:, None]
-                      * frame.durations[t][None, :]) if H else np.zeros((0, L))
+        dur = frame.durations[t]
+        tcaps = np.outer(scenario.thermal_avail[:, t]
+                         * frame.thermal_programmed[t] * tpmax, dur)
+        hydro_caps = np.outer(frame.hydro_programmed[t] * hpmax, dur)
         pools = [stocks[h, t] + scenario.inflows[h, t].sum() for h in range(H)]
         rows = [tb.continuation(t) for tb in tables.hydro]
+        tranches = [_tranches(p, g, r) for p, g, r in zip(pools, grids, rows)]
 
         def dispatch(on):
             """Day dispatch with contracts ``on``, scored without contracts."""
             extra = np.zeros(L)
             for k in range(K):
                 if on[k]:
-                    extra += units.ejp[k].power * frame.durations[t]
-            book = _DayBook(order, tcosts, pools, x_mins, grids, rows)
-            fuel, short, tused, _ = _dispatch_day(
-                scenario.demand[t], tcaps, hydro_caps, book, extra)
-            ends = [min(book.pools[h], units.hydro[h].x_max) for h in range(H)]
+                    extra += units.ejp[k].power * dur
+            fuel, short, tused, ends = _dispatch_day(
+                scenario.demand[t], tcaps, hydro_caps, order, tcosts, pools,
+                tranches, extra)
+            ends = [min(e, g[-1]) for e, g in zip(ends, grids)]
             score = fuel + short * pen
-            for h in range(H):
-                score -= float(np.interp(ends[h], grids[h], rows[h]))
+            for e, g, r in zip(ends, grids, rows):
+                score -= float(np.interp(e, g, r))
             return score, fuel, short, tused, ends
 
         # the day as dispatched so far is each contract's choice-0 trial

@@ -1,4 +1,4 @@
-"""Strict JSON file formats for trees, units, scenarios, multipliers and sigmas.
+"""Strict JSON file formats for trees, units, scenarios and multipliers.
 
 All formats carry a ``format`` tag and reject unknown fields, so a
 typo'd key fails loudly instead of being silently ignored.  Writers are
@@ -22,7 +22,6 @@ TREE_FORMAT = "tree-v1"
 UNITS_FORMAT = "units-v1"
 SCENARIOS_FORMAT = "scenarios-v1"
 MULTIPLIER_FORMAT = "multiplier-v1"
-SIGMA_FORMAT = "sigma-v1"
 
 
 class FormatError(ValueError):
@@ -57,6 +56,13 @@ def _take(record: dict, key: str, where: str, optional: bool = False):
 def _done(record: dict, where: str) -> None:
     if record:
         raise FormatError(f"{where}: unknown fields {sorted(record)}")
+
+
+def _records(values, where: str, what: str) -> list[dict]:
+    if not isinstance(values, list) or not all(isinstance(r, dict)
+                                               for r in values):
+        raise FormatError(f"{where}: {what!r} must be a list of objects")
+    return values
 
 
 def _floats(values, where: str) -> list[float]:
@@ -94,14 +100,12 @@ def load_tree(path) -> ScenarioTree:
     obj = _load(path, TREE_FORMAT)
     obj.pop("format")
     num_posts = _take(obj, "num_posts", path)
-    raw_nodes = _take(obj, "nodes", path)
+    raw_nodes = _records(_take(obj, "nodes", path), path, "nodes")
     _done(obj, path)
-    if not isinstance(raw_nodes, list) or not raw_nodes:
+    if not raw_nodes:
         raise FormatError(f"{path}: 'nodes' must be a nonempty list")
     nodes = []
     for rec in raw_nodes:
-        if not isinstance(rec, dict):
-            raise FormatError(f"{path}: node records must be objects")
         where = f"{path}: node {rec.get('id', '?')}"
         rec = dict(rec)
         node = Node(
@@ -147,9 +151,9 @@ def save_units(units: UnitSet, path) -> None:
 def load_units(path) -> UnitSet:
     obj = _load(path, UNITS_FORMAT)
     obj.pop("format")
-    raw_th = _take(obj, "thermal", path)
-    raw_hy = _take(obj, "hydro", path)
-    raw_ejp = _take(obj, "ejp", path)
+    raw_th = _records(_take(obj, "thermal", path), path, "thermal")
+    raw_hy = _records(_take(obj, "hydro", path), path, "hydro")
+    raw_ejp = _records(_take(obj, "ejp", path), path, "ejp")
     _done(obj, path)
 
     thermal = []
@@ -239,7 +243,7 @@ def load_scenarios(path) -> list[Scenario]:
     L = int(_take(obj, "num_posts", path))
     H = int(_take(obj, "num_hydro", path))
     U = int(_take(obj, "num_thermal", path))
-    records = _take(obj, "records", path)
+    records = _records(_take(obj, "records", path), path, "records")
     _done(obj, path)
     if len(records) != S * T:
         raise FormatError(f"{path}: expected {S * T} records, found {len(records)}")
@@ -281,20 +285,21 @@ def load_scenarios(path) -> list[Scenario]:
                      thermal_avail=avail[s]) for s in range(S)]
 
 
-# ---------------------------------------- per-cell vectors (lambda, sigma)
+# ---------------------------------------------------------- multipliers
 
-def _save_cells(flat: np.ndarray, tree: ScenarioTree, path, fmt: str) -> None:
-    cells = tree.cells(np.asarray(flat, dtype=float))
+def save_multiplier(lam, tree: ScenarioTree, path) -> None:
+    cells = tree.cells(np.asarray(lam, dtype=float))
     records = [{"id": int(n.id), "values": [float(x) for x in cells[i]]}
                for i, n in enumerate(tree.nodes)]
-    _dump({"format": fmt, "num_posts": tree.num_posts, "nodes": records}, path)
+    _dump({"format": MULTIPLIER_FORMAT, "num_posts": tree.num_posts,
+           "nodes": records}, path)
 
 
-def _load_cells(path, tree: ScenarioTree, fmt: str) -> np.ndarray:
-    obj = _load(path, fmt)
+def load_multiplier(path, tree: ScenarioTree) -> np.ndarray:
+    obj = _load(path, MULTIPLIER_FORMAT)
     obj.pop("format")
     L = int(_take(obj, "num_posts", path))
-    records = _take(obj, "nodes", path)
+    records = _records(_take(obj, "nodes", path), path, "nodes")
     _done(obj, path)
     if L != tree.num_posts:
         raise FormatError(f"{path}: file has {L} posts, tree has {tree.num_posts}")
@@ -319,19 +324,3 @@ def _load_cells(path, tree: ScenarioTree, fmt: str) -> np.ndarray:
         seen[i] = True
         out[i] = values
     return out.ravel()
-
-
-def save_multiplier(lam, tree: ScenarioTree, path) -> None:
-    _save_cells(lam, tree, path, MULTIPLIER_FORMAT)
-
-
-def load_multiplier(path, tree: ScenarioTree) -> np.ndarray:
-    return _load_cells(path, tree, MULTIPLIER_FORMAT)
-
-
-def save_sigma(sigma, tree: ScenarioTree, path) -> None:
-    _save_cells(sigma, tree, path, SIGMA_FORMAT)
-
-
-def load_sigma(path, tree: ScenarioTree) -> np.ndarray:
-    return _load_cells(path, tree, SIGMA_FORMAT)

@@ -96,10 +96,6 @@ class AvailabilityModel:
         return rates
 
 
-def availability_probability(model: AvailabilityModel, k: int) -> float:
-    return model.availability(k)
-
-
 def binomial_rate_moments(n_groups: int, alpha: float) -> tuple[float, float]:
     """Mean and variance of the working fraction of n independent groups."""
     return alpha, alpha * (1.0 - alpha) / n_groups

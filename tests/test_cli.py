@@ -62,6 +62,16 @@ def test_validate_rejects_unit_count_mismatch(demo_dir, tmp_path):
     assert code == 2
 
 
+def test_validate_rejects_malformed_units(demo_dir, tmp_path):
+    units = json.loads((demo_dir / "units.json").read_text())
+    units["thermal"] = 5
+    bad = tmp_path / "units.json"
+    bad.write_text(json.dumps(units))
+    code = main(["validate", "--tree", str(demo_dir / "tree.json"),
+                 "--units", str(bad)])
+    assert code == 2
+
+
 def test_validate_rejects_missing_file(tmp_path):
     code = main(["validate", "--tree", str(tmp_path / "nope.json")])
     assert code == 2

@@ -228,6 +228,40 @@ def test_two_contracts_decided_greedily_in_unit_order(demand, remaining, fuel):
     assert res.cost == pytest.approx(fuel - credit)
 
 
+@pytest.mark.parametrize("keep, called, ends", [
+    # calling the 100 MWh day spares a's lower band, worth 5000
+    (4000.0, True, [200.0, 50.0]),
+    # a keep-credit above 5000 keeps the day: both lakes hit their floors
+    (6000.0, False, [100.0, 50.0]),
+])
+def test_dispatch_two_reservoirs_to_floors_on_contract_day(keep, called, ends):
+    # upper bands (b at 2, a at 5) run before the 20 F/MWh plant, lower
+    # bands (b at 40, a at 50) after it; without the contract the 500 MWh
+    # take every band and the plant's 100 MWh
+    units = UnitSet(
+        thermal=[ThermalUnit("gas", 20.0, 10.0, 1, 0.9)],
+        hydro=[HydroUnit("a", 100.0, 300.0, 300.0, 25.0,
+                         ((100.0, 0.0), (200.0, 5000.0), (300.0, 5500.0))),
+               HydroUnit("b", 50.0, 250.0, 250.0, 25.0,
+                         ((50.0, 0.0), (150.0, 4000.0), (250.0, 4200.0)))],
+        ejp=[EjpContract("peak", 1, 10.0, (0.0, keep))])
+    tree = chain_tree([[500.0]], durations=(10.0,), num_thermal=1,
+                      num_hydro=2)
+    tables = compute_bellman(tree, np.zeros(tree.dim), units)
+    scenario = Scenario(demand=np.array([[500.0]]),
+                        inflows=np.zeros((2, 1, 1)),
+                        thermal_avail=np.ones((1, 1)))
+    res = simulate_scenario(scenario, expected_frame(tree), units, tables)
+    np.testing.assert_array_equal(res.ejp_remaining, [0 if called else 1])
+    np.testing.assert_allclose(res.stocks[:, 1], ends)
+    np.testing.assert_allclose(res.thermal_energy, [100.0])
+    assert res.fuel_cost == pytest.approx(2000.0)
+    assert res.unserved_energy == 0.0
+    credit = 5000.0 if called else keep
+    assert res.terminal_credit == pytest.approx(credit)
+    assert res.cost == pytest.approx(2000.0 - credit)
+
+
 # ----------------------------------------------------------- statistics
 
 

@@ -72,14 +72,6 @@ def test_multiplier_roundtrip(instance):
     np.testing.assert_array_equal(lam, back)
 
 
-def test_sigma_roundtrip(instance):
-    d, tree, _, _ = instance
-    sig = np.abs(np.random.default_rng(1).normal(size=tree.dim))
-    p = d / "sig.json"
-    treefiles.save_sigma(sig, tree, p)
-    np.testing.assert_array_equal(treefiles.load_sigma(p, tree), sig)
-
-
 def test_wrong_format_tag(instance):
     d, tree, _, _ = instance
     p = d / "t.json"
@@ -143,6 +135,31 @@ def test_nan_refused_on_save(instance):
     lam[0] = np.nan
     with pytest.raises(ValueError):
         treefiles.save_multiplier(lam, tree, d / "bad.json")
+
+
+@pytest.mark.parametrize("kind, key, corrupt", [
+    ("units", "thermal", lambda recs: 5),
+    ("units", "hydro", lambda recs: recs + [3]),
+    ("units", "ejp", lambda recs: {"name": "x"}),
+    ("scenarios", "records", lambda recs: [7] + recs[1:]),
+    ("tree", "nodes", lambda recs: recs[:-1] + ["node"]),
+    ("multiplier", "nodes", lambda recs: 4),
+], ids=["thermal-int", "hydro-item", "ejp-object", "scenario-record",
+        "tree-node", "multiplier-int"])
+def test_record_lists_must_hold_objects(instance, kind, key, corrupt):
+    d, tree, scens, units = instance
+    p = d / f"{kind}.json"
+    if kind == "multiplier":
+        treefiles.save_multiplier(np.zeros(tree.dim), tree, p)
+    else:
+        data = {"tree": tree, "units": units, "scenarios": scens}[kind]
+        getattr(treefiles, f"save_{kind}")(data, p)
+    obj = json.loads(p.read_text())
+    obj[key] = corrupt(obj[key])
+    p.write_text(json.dumps(obj))
+    load = getattr(treefiles, f"load_{kind}")
+    with pytest.raises(FormatError, match=key):
+        load(p, tree) if kind == "multiplier" else load(p)
 
 
 def test_scenario_count_mismatch(instance):
