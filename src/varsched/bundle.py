@@ -59,27 +59,54 @@ class BundleResult:
 
 
 def _simplex_qp(G: np.ndarray, e: np.ndarray, mu: float, iters: int) -> np.ndarray:
-    """min (1/2mu) a'Ga + e'a over the simplex, by pairwise exchange."""
+    """min (1/2mu) a'Ga + e'a over the simplex, by pairwise exchange.
+
+    Each exchange moves weight from the support member of largest
+    gradient ``g = G alpha / mu + e`` to the member of smallest.  The
+    gradient is recomputed in full every time, by the same three array
+    operations into a buffer reused across exchanges, rather than
+    updated, so rounding never accumulates.  Scalars are read from
+    Python mirrors (``weights`` of ``alpha``, ``rows`` of ``G``), and
+    ``gj``, the gradient on the support and -inf elsewhere, is kept up
+    to date as members join and leave the support.
+    """
     b = e.size
     alpha = np.zeros(b)
-    alpha[int(np.argmin(e))] = 1.0
+    alpha[int(e.argmin())] = 1.0
     if b == 1:
         return alpha
+    rows = G.tolist()
+    weights = alpha.tolist()
+    support = alpha > 1e-14
+    g = np.empty(b)
+    gj = np.full(b, -np.inf)
+    mu_ = np.array(mu)
+    dot, divide, add, copyto = np.dot, np.divide, np.add, np.copyto
     for _ in range(iters):
-        g = G @ alpha / mu + e
-        i = int(np.argmin(g))
-        support = alpha > 1e-14
-        gj = np.where(support, g, -np.inf)
-        j = int(np.argmax(gj))
-        gap = g[j] - g[i]
-        if gap <= 1e-12 * (1.0 + abs(g[i]) + abs(g[j])):
+        dot(G, alpha, out=g)
+        divide(g, mu_, out=g)
+        add(g, e, out=g)
+        i = int(g.argmin())
+        copyto(gj, g, where=support)
+        j = int(gj.argmax())
+        gi, gjj = g.item(i), g.item(j)
+        gap = gjj - gi
+        if gap <= 1e-12 * (1.0 + abs(gi) + abs(gjj)):
             break
-        curv = (G[i, i] - 2.0 * G[i, j] + G[j, j]) / mu
-        t = alpha[j] if curv <= 0.0 else min(alpha[j], gap / curv)
+        ri, rj = rows[i], rows[j]
+        curv = (ri[i] - 2.0 * ri[j] + rj[j]) / mu
+        aj = weights[j]
+        t = aj if curv <= 0.0 else min(aj, gap / curv)
         if t <= 0.0:
             break
-        alpha[i] += t
-        alpha[j] -= t
+        ai = weights[i] + t
+        aj -= t
+        weights[i] = alpha[i] = ai
+        weights[j] = alpha[j] = aj
+        support[i] = ai > 1e-14     # i gains weight: it never leaves
+        if not aj > 1e-14:
+            support[j] = False
+            gj[j] = -np.inf
     return alpha
 
 

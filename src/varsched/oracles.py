@@ -178,14 +178,22 @@ def hydro_value_functions(lam: np.ndarray, tree: ScenarioTree,
     left at the end of it (sum of sons' W, or the probability-weighted
     terminal value at leaves).  One day is a supremal convolution of
     the post offers (slope lam, width = release capacity) with the
-    monotone hull of G (surplus water can always be spilled).
+    monotone hull of G (surplus water can always be spilled), computed
+    by ``pwl.offer_hull_clip``.  Only live posts make offers: those
+    with a positive price and capacity, marked in the returned ``live``.
+    Returns ``(W, G, prices, caps, a, live)``.
     """
     prices = tree.cells(lam)
     caps = tree.hydro_programmed[:, h:h + 1] * unit.p_max * tree.durations
     a = tree.inflows[h].sum(axis=1)
+    live = (prices > 0.0) & (caps > 0.0)
+    # node i's offers, in post order, are entries bounds[i]:bounds[i + 1]
+    bounds = [0] + np.cumsum(live.sum(axis=1)).tolist()
+    offer_s, offer_w = prices[live], caps[live]
     vh = pwl.clip(pwl.from_breakpoints([p[0] for p in unit.value_points],
                                        [p[1] for p in unit.value_points]),
                   unit.x_min, unit.x_max)
+    lo, hi = (unit.x_min + a).tolist(), (unit.x_max + a).tolist()
     N = tree.num_nodes
     W: list = [None] * N
     G: list = [None] * N
@@ -195,14 +203,10 @@ def hydro_value_functions(lam: np.ndarray, tree: ScenarioTree,
             G[i] = pwl.scale(vh, tree.prob[i])
         else:
             G[i] = pwl.add_many([W[m] for m in sons])
-        hull = pwl.monotone_hull(G[i], unit.x_max + a[i])
-        offers = [pwl._raw(0.0, 0.0, prices[i, p:p + 1], caps[i, p:p + 1])
-                  for p in range(tree.num_posts)
-                  if prices[i, p] > 0.0 and caps[i, p] > 0.0]
-        day = pwl.sup_conv(offers + [hull])
-        W[i] = pwl.shift_x(pwl.clip(day, unit.x_min + a[i], unit.x_max + a[i]),
-                           -a[i])
-    return W, G, prices, caps, a
+        k0, k1 = bounds[i], bounds[i + 1]
+        W[i] = pwl.offer_hull_clip(G[i], offer_s[k0:k1], offer_w[k0:k1],
+                                   lo[i], hi[i], -a.item(i))
+    return W, G, prices, caps, a, live
 
 
 def theta_hydro(lam: np.ndarray, tree: ScenarioTree, unit: HydroUnit, h: int
@@ -214,42 +218,54 @@ def theta_hydro(lam: np.ndarray, tree: ScenarioTree, unit: HydroUnit, h: int
     price ties conservatively (store, then spill, then release in post
     order).
     """
-    W, G, prices, caps, a = hydro_value_functions(lam, tree, unit, h)
+    W, G, prices, caps, a, live = hydro_value_functions(lam, tree, unit, h)
     N, L = tree.num_nodes, tree.num_posts
     root = int(np.flatnonzero(tree.father_index < 0)[0])
     value = -float(W[root](unit.x0))
 
+    # node i's outlets after its stock segments are entries
+    # bounds[i]:bounds[i + 1] of the tails: spill (slope 0, label 1,
+    # width set below), then the live posts (label 2 + p)
+    tail_mask = np.concatenate((np.ones((N, 1), dtype=bool), live), axis=1)
+    bounds = [0] + np.cumsum(tail_mask.sum(axis=1)).tolist()
+    tail_s = np.concatenate((np.zeros((N, 1)), prices), axis=1)[tail_mask]
+    tail_w = np.concatenate((np.zeros((N, 1)), caps), axis=1)[tail_mask]
+    tail_l = np.broadcast_to(np.arange(1, L + 2), (N, L + 1))[tail_mask]
     release = np.zeros((N, L))
     spill = np.zeros(N)
-    stock_in = np.empty(N)
+    stock_in = [0.0] * N
     stock_in[root] = unit.x0
+    a = a.tolist()
     terminal = {}
     for i in range(N):
         free = stock_in[i] + a[i] - unit.x_min
         g = G[i]
-        posts = [p for p in range(L) if prices[i, p] > 0.0 and caps[i, p] > 0.0]
-        slopes = np.concatenate((g.slopes, [0.0], prices[i, posts]))
-        widths = np.concatenate((g.widths, [max(free, 0.0)], caps[i, posts]))
-        # labels: 0 = keep in stock, 1 = spill, 2 + p = release on post p
-        labels = np.concatenate((np.zeros(g.slopes.size, dtype=int), [1],
-                                 2 + np.asarray(posts, dtype=int)))
-        order = np.lexsort((labels, -slopes))
-        amounts = widths[order].copy()
-        cum = np.cumsum(amounts)
-        cut = int(np.searchsorted(cum, free, side="left"))
+        k0, k1 = bounds[i], bounds[i + 1]
+        slopes = np.concatenate((g.slopes, tail_s[k0:k1]))
+        widths = np.concatenate((g.widths, tail_w[k0:k1]))
+        widths[g.slopes.size] = max(free, 0.0)
+        # labels: 0 = keep in stock, 1 = spill, 2 + p = release on post p;
+        # they rise along the list, so a stable sort breaks ties by label
+        labels = np.concatenate((np.zeros(g.slopes.size, dtype=int),
+                                 tail_l[k0:k1]))
+        order = (-slopes).argsort(kind="stable")
+        amounts = widths[order]
+        cum = amounts.cumsum()
+        cut = int(cum.searchsorted(free, side="left"))
         if cut < amounts.size:
-            prev = cum[cut - 1] if cut > 0 else 0.0
+            prev = cum.item(cut - 1) if cut > 0 else 0.0
             amounts[cut] = max(free - prev, 0.0)
             amounts[cut + 1:] = 0.0
         taken = np.bincount(labels[order], weights=amounts, minlength=L + 2)
-        z = unit.x_min + taken[0]
+        z = unit.x_min + taken.item(0)
         spill[i] = taken[1]
         release[i] = taken[2:]
         sons = tree.sons[i]
         if sons.size == 0:
             terminal[i] = z
         else:
-            stock_in[sons] = z
+            for m in sons.tolist():
+                stock_in[m] = z
     term = np.array([terminal[i] for i in tree.leaves])
     return HydroDual(value=value, release=release, spill=spill, terminal=term)
 

@@ -189,3 +189,51 @@ def monotone_hull(f: ConcavePwl, hi: float) -> ConcavePwl:
         slopes = np.concatenate((slopes, [0.0]))
         widths = np.concatenate((widths, [tail]))
     return _raw(f.x0, f.y0, slopes, widths)
+
+
+def offer_hull_clip(g: ConcavePwl, slopes: np.ndarray, widths: np.ndarray,
+                    lo: float, hi: float, dx: float) -> ConcavePwl:
+    """``shift_x(clip(sup_conv(offers + [monotone_hull(g, hi)]), lo, hi), dx)``.
+
+    ``offers`` are the one-segment functions from 0 with the given
+    ``slopes`` and ``widths``.  One pass over raw arrays, with the same
+    floating-point operations on the same arrays in the same order as
+    the composition, so the result is equal bit for bit.  Every width,
+    of the offers and of ``g``, must be positive: ``sup_conv``'s filter
+    of empty segments is left out.  ``np.clip`` is spelled as maximum
+    then minimum; the two differ only in the sign of a zero, and only
+    positive clipped widths are kept.
+    """
+    up = g.slopes > 0.0
+    hull_s, hull_w = g.slopes[up], g.widths[up]
+    peak_x = g.x0 + float(np.add.reduce(hull_w))
+    if hi < peak_x - 1e-9 * max(1.0, abs(peak_x)):
+        raise ValueError("hull endpoint below the peak")
+    tail = hi - peak_x
+    if tail > 0.0:
+        slopes = np.concatenate((slopes, hull_s, (0.0,)))
+        widths = np.concatenate((widths, hull_w, (tail,)))
+    else:
+        slopes = np.concatenate((slopes, hull_s))
+        widths = np.concatenate((widths, hull_w))
+    order = (-slopes).argsort(kind="stable")
+    slopes = slopes[order]
+    widths = widths[order]
+    # sup_conv anchors at the sum of left ends, the offers' being 0.0
+    x0 = 0.0 + g.x0
+    x1 = x0 + float(np.add.reduce(widths))
+    if lo > hi:
+        raise ValueError("empty clip interval")
+    span = max(abs(x0), abs(x1), 1.0)
+    if lo < x0 - 1e-9 * span or hi > x1 + 1e-9 * span:
+        raise ValueError("clip interval escapes the domain")
+    lo = min(max(lo, x0), x1)
+    hi = min(max(hi, x0), x1)
+    ends = x0 + widths.cumsum()
+    starts = ends - widths
+    kept = (np.minimum(np.maximum(ends, lo), hi)
+            - np.minimum(np.maximum(starts, lo), hi))
+    keep = kept > 0.0
+    below = np.minimum(ends, lo) - np.minimum(starts, lo)
+    y_lo = (0.0 + g.y0) + float(slopes @ below)
+    return _raw(lo + dx, y_lo, slopes[keep], kept[keep])

@@ -17,7 +17,6 @@ itself is free, its opportunity cost only steers the merit order.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +36,8 @@ class BellmanTable:
     aggregates day t's nodes by probability; the extra last row is the
     terminal value.  The value used after day t's dispatch is
     ``continuation(t)``: the next day's aggregated row, or the terminal
-    row after the last day.
+    row after the last day.  ``step_slopes`` holds each step row's
+    slopes across the grid bands, clipped at zero.
     """
 
     kind: str                 # hydro | ejp
@@ -45,10 +45,20 @@ class BellmanTable:
     grid: np.ndarray
     node_values: np.ndarray   # (N, G)
     step_values: np.ndarray   # (T + 1, G)
+    step_slopes: np.ndarray = field(init=False)   # (T + 1, G - 1)
+
+    def __post_init__(self):
+        self.step_slopes = np.maximum(
+            np.diff(self.step_values, axis=1) / np.diff(self.grid), 0.0)
+
+    def _next(self, day: int) -> int:
+        return min(day + 1, self.step_values.shape[0] - 1)
 
     def continuation(self, day: int) -> np.ndarray:
-        t = min(day + 1, self.step_values.shape[0] - 1)
-        return self.step_values[t]
+        return self.step_values[self._next(day)]
+
+    def continuation_slopes(self, day: int) -> np.ndarray:
+        return self.step_slopes[self._next(day)]
 
 
 @dataclass
@@ -145,22 +155,23 @@ class SimResult:
     thermal_energy: np.ndarray  # (U,) total MWh over the year
 
 
-def _tranches(pool: float, grid: np.ndarray, row: np.ndarray):
+def _tranches(pool: float, grid: np.ndarray, slopes: np.ndarray):
     """Water tranches from the top of the pool down to the floor grid[0].
 
     Returns parallel lists (amount, price): the grid bands below the
     pool level whose top lies more than 1e-9 above the floor, the top
     one cut at the level, read from the top down after a free tranche
-    for any surplus above the cap.  A tranche's
-    price is the slope of the continuation row across its band, clipped
-    at zero.  Consumption must follow list order: water comes off the
-    top whatever the prices do.
+    for any surplus above the cap.  A tranche's price is its band's
+    entry of ``slopes``: the continuation row's slope across the band,
+    clipped at zero (``BellmanTable.continuation_slopes``).  Consumption
+    must follow list order: water comes off the top whatever the prices
+    do.
     """
     level = min(pool, grid[-1])
     lo, hi = grid[:-1], np.minimum(grid[1:], level)
     keep = (lo < level) & (hi > grid[0] + 1e-9)
     amounts = (hi - lo)[keep][::-1].tolist()
-    prices = np.maximum(np.diff(row) / np.diff(grid), 0.0)[keep][::-1].tolist()
+    prices = slopes[keep][::-1].tolist()
     if pool > grid[-1]:  # above the cap: surplus water is free
         amounts.insert(0, pool - grid[-1])
         prices.insert(0, 0.0)
@@ -263,7 +274,8 @@ def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
         hydro_caps = np.outer(frame.hydro_programmed[t] * hpmax, dur)
         pools = [stocks[h, t] + scenario.inflows[h, t].sum() for h in range(H)]
         rows = [tb.continuation(t) for tb in tables.hydro]
-        tranches = [_tranches(p, g, r) for p, g, r in zip(pools, grids, rows)]
+        tranches = [_tranches(p, g, tb.continuation_slopes(t))
+                    for p, g, tb in zip(pools, grids, tables.hydro)]
 
         def dispatch(on):
             """Day dispatch with contracts ``on``, scored without contracts."""
@@ -420,6 +432,9 @@ def run_monte_carlo(scenarios, tree: ScenarioTree, units: UnitSet,
     if workers <= 1:
         results = [simulate_scenario(*j) for j in jobs]
     else:
+        # imported here: multiprocessing is slow to import, and only a
+        # parallel run needs it
+        from concurrent.futures import ProcessPoolExecutor
         chunk = max(1, len(jobs) // (4 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_simulate_args, jobs, chunksize=chunk))

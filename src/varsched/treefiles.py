@@ -76,6 +76,19 @@ def _floats(values, where: str) -> list[float]:
     return out
 
 
+def _rows(values, where: str, what: str) -> list[list[float]]:
+    if not isinstance(values, list):
+        raise FormatError(f"{where}: {what!r} must be a list of rows of numbers")
+    return [_floats(row, where) for row in values]
+
+
+def _pairs(values, where: str, what: str) -> tuple:
+    rows = _rows(values, where, what)
+    if any(len(row) != 2 for row in rows):
+        raise FormatError(f"{where}: {what!r} must be a list of number pairs")
+    return tuple((x, v) for x, v in rows)
+
+
 # ---------------------------------------------------------------- trees
 
 def save_tree(tree: ScenarioTree, path) -> None:
@@ -115,8 +128,7 @@ def load_tree(path) -> ScenarioTree:
             trans_prob=float(_take(rec, "trans_prob", where)),
             durations=_floats(_take(rec, "durations", where), where),
             demand=_floats(_take(rec, "demand", where), where),
-            inflows=[_floats(row, where)
-                     for row in _take(rec, "inflows", where)],
+            inflows=_rows(_take(rec, "inflows", where), where, "inflows"),
             thermal_programmed=_floats(_take(rec, "thermal_programmed", where), where),
             hydro_programmed=_floats(_take(rec, "hydro_programmed", where), where),
         )
@@ -193,8 +205,8 @@ def load_units(path) -> UnitSet:
             x_max=float(_take(rec, "x_max", where)),
             x0=float(_take(rec, "x0", where)),
             p_max=float(_take(rec, "p_max", where)),
-            value_points=tuple((float(x), float(v))
-                               for x, v in _take(rec, "value_points", where))))
+            value_points=_pairs(_take(rec, "value_points", where), where,
+                                "value_points")))
         _done(rec, where)
 
     ejp = []
@@ -266,11 +278,10 @@ def load_scenarios(path) -> list[Scenario]:
         if len(d) != L:
             raise FormatError(f"{where}: demand must have {L} posts")
         demand[s, t] = d
-        raw_inf = _take(rec, "inflows", where)
+        raw_inf = _rows(_take(rec, "inflows", where), where, "inflows")
         if len(raw_inf) != H:
             raise FormatError(f"{where}: inflows must have {H} rows")
         for h, row in enumerate(raw_inf):
-            row = _floats(row, where)
             if len(row) != L:
                 raise FormatError(f"{where}: inflow rows must have {L} posts")
             inflows[s, h, t] = row

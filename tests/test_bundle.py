@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from varsched.bundle import BundleParams, maximize_dual, maximize_subgradient
+from varsched.bundle import (BundleParams, _simplex_qp, maximize_dual,
+                             maximize_subgradient)
 from varsched.oracles import default_multiplier, dual_oracle, RunMode
 from varsched.reference import solve_primal_reference
 
@@ -121,3 +122,60 @@ def test_start_point_already_optimal():
     assert res.status == "converged"
     assert res.theta == 0.0
     assert res.iterations == 0
+
+
+def reference_simplex_qp(G, e, mu, iters):
+    """The pairwise-exchange loop written with one array expression per
+    step; ``_simplex_qp`` must take exactly the same exchanges."""
+    b = e.size
+    alpha = np.zeros(b)
+    alpha[int(np.argmin(e))] = 1.0
+    if b == 1:
+        return alpha
+    for _ in range(iters):
+        g = G @ alpha / mu + e
+        i = int(np.argmin(g))
+        support = alpha > 1e-14
+        gj = np.where(support, g, -np.inf)
+        j = int(np.argmax(gj))
+        gap = g[j] - g[i]
+        if gap <= 1e-12 * (1.0 + abs(g[i]) + abs(g[j])):
+            break
+        curv = (G[i, i] - 2.0 * G[i, j] + G[j, j]) / mu
+        t = alpha[j] if curv <= 0.0 else min(alpha[j], gap / curv)
+        if t <= 0.0:
+            break
+        alpha[i] += t
+        alpha[j] -= t
+    return alpha
+
+
+def random_qp(rng, kind):
+    """(G, e, mu, iters) shaped like a bundle iteration's model QP."""
+    b = 1 if kind == "single" else int(rng.integers(2, 42))
+    n = int(rng.integers(1, 4)) if kind == "more_cuts" else int(rng.integers(2, 60))
+    S = rng.normal(size=(b, n)) * 10.0 ** rng.uniform(-2, 4)
+    if kind == "duplicates":
+        S = S[rng.integers(0, max(b // 3, 1), b)]      # repeated cuts
+    e = np.maximum(rng.normal(size=b), 0.0) * 10.0 ** rng.uniform(-3, 3)
+    mu = 10.0 ** rng.uniform(-3, 3)
+    iters = int(rng.integers(1, 6)) if kind == "capped" else 1000
+    return S @ S.T, e, mu, iters
+
+
+QP_KINDS = ("single", "duplicates", "more_cuts", "spread", "capped")
+
+
+@pytest.mark.parametrize("kind", QP_KINDS)
+def test_simplex_qp_equals_reference_loop(kind):
+    rng = np.random.default_rng(QP_KINDS.index(kind))
+    binding = 0
+    for _ in range(60):
+        G, e, mu, iters = random_qp(rng, kind)
+        alpha = _simplex_qp(G, e, mu, iters)
+        assert np.array_equal(alpha, reference_simplex_qp(G, e, mu, iters))
+        if kind == "capped":
+            binding += not np.array_equal(
+                alpha, reference_simplex_qp(G, e, mu, iters + 1))
+    if kind == "capped":
+        assert binding >= 30      # the cap stopped most of these solves

@@ -72,6 +72,16 @@ def test_validate_rejects_malformed_units(demo_dir, tmp_path):
     assert code == 2
 
 
+def test_validate_rejects_malformed_scenario_inflows(demo_dir, tmp_path):
+    scens = json.loads((demo_dir / "scenarios.json").read_text())
+    scens["records"][0]["inflows"] = 5
+    bad = tmp_path / "scenarios.json"
+    bad.write_text(json.dumps(scens))
+    code = main(["validate", "--tree", str(demo_dir / "tree.json"),
+                 "--scenarios", str(bad)])
+    assert code == 2
+
+
 def test_validate_rejects_missing_file(tmp_path):
     code = main(["validate", "--tree", str(tmp_path / "nope.json")])
     assert code == 2

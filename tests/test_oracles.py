@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from varsched import pwl
 from varsched.oracles import (
     RunMode, calibrate_tree_covariance, default_multiplier, dual_oracle,
-    evaluate_dual, theta_ejp, theta_hydro, theta_thermal, theta_thermal_var,
-    var_margin)
+    evaluate_dual, hydro_value_functions, theta_ejp, theta_hydro,
+    theta_thermal, theta_thermal_var, var_margin)
 from varsched.reference import solve_primal_reference
 from varsched.tree import Node, ScenarioTree
 from varsched.units import EjpContract, HydroUnit, ThermalUnit, UnitSet
@@ -256,6 +257,139 @@ def test_hydro_chain_matches_grid_dp():
         plan = theta_hydro(lam, tree, unit, 0)
         assert plan.value == pytest.approx(grid_hydro_dp(tree, unit, lam),
                                            rel=1e-9, abs=1e-7)
+
+
+def composed_value_functions(lam, tree, unit, h=0):
+    """The backward pass as a chain of ``pwl`` calls: per node the monotone
+    hull, one offer per live post, supremal convolution, clip and shift."""
+    prices = tree.cells(lam)
+    caps = tree.hydro_programmed[:, h:h + 1] * unit.p_max * tree.durations
+    a = tree.inflows[h].sum(axis=1)
+    vh = pwl.clip(pwl.from_breakpoints([p[0] for p in unit.value_points],
+                                       [p[1] for p in unit.value_points]),
+                  unit.x_min, unit.x_max)
+    W, G = [None] * tree.num_nodes, [None] * tree.num_nodes
+    for i in range(tree.num_nodes - 1, -1, -1):
+        sons = tree.sons[i]
+        if sons.size == 0:
+            G[i] = pwl.scale(vh, tree.prob[i])
+        else:
+            G[i] = pwl.add_many([W[m] for m in sons])
+        hull = pwl.monotone_hull(G[i], unit.x_max + a[i])
+        offers = [pwl.ConcavePwl(0.0, 0.0, prices[i, p:p + 1], caps[i, p:p + 1])
+                  for p in range(tree.num_posts)
+                  if prices[i, p] > 0.0 and caps[i, p] > 0.0]
+        day = pwl.sup_conv(offers + [hull])
+        W[i] = pwl.shift_x(pwl.clip(day, unit.x_min + a[i],
+                                    unit.x_max + a[i]), -a[i])
+    return W, G
+
+
+def composed_plan(lam, tree, unit, h=0):
+    """The forward pass over the composed recursion, ties broken by
+    ``np.lexsort`` on (slope, label): stock, then spill, then posts."""
+    W, G = composed_value_functions(lam, tree, unit, h)
+    prices = tree.cells(lam)
+    caps = tree.hydro_programmed[:, h:h + 1] * unit.p_max * tree.durations
+    a = tree.inflows[h].sum(axis=1)
+    N, L = tree.num_nodes, tree.num_posts
+    root = int(np.flatnonzero(tree.father_index < 0)[0])
+    release, spill = np.zeros((N, L)), np.zeros(N)
+    stock_in = np.empty(N)
+    stock_in[root] = unit.x0
+    terminal = {}
+    for i in range(N):
+        free = stock_in[i] + a[i] - unit.x_min
+        posts = [p for p in range(L) if prices[i, p] > 0.0 and caps[i, p] > 0.0]
+        slopes = np.concatenate((G[i].slopes, [0.0], prices[i, posts]))
+        widths = np.concatenate((G[i].widths, [max(free, 0.0)], caps[i, posts]))
+        labels = np.concatenate((np.zeros(G[i].slopes.size, dtype=int), [1],
+                                 2 + np.asarray(posts, dtype=int)))
+        order = np.lexsort((labels, -slopes))
+        amounts = widths[order].copy()
+        cum = np.cumsum(amounts)
+        cut = int(np.searchsorted(cum, free, side="left"))
+        if cut < amounts.size:
+            amounts[cut] = max(free - (cum[cut - 1] if cut > 0 else 0.0), 0.0)
+            amounts[cut + 1:] = 0.0
+        taken = np.bincount(labels[order], weights=amounts, minlength=L + 2)
+        spill[i], release[i] = taken[1], taken[2:]
+        z = unit.x_min + taken[0]
+        if tree.sons[i].size == 0:
+            terminal[i] = z
+        stock_in[tree.sons[i]] = z
+    term = np.array([terminal[i] for i in tree.leaves])
+    return -float(W[root](unit.x0)), release, spill, term
+
+
+def hydro_case(kind, rng):
+    """(tree, unit, lam) for one shape the recursion branches on."""
+    L = 3
+    if kind == "chain":
+        T = int(rng.integers(3, 8))
+        inflows = [rng.uniform(0.0, 3.0, (1, L)) for _ in range(T)]
+        tree = chain_tree([[0.0] * L] * T, durations=(8.0, 4.0, 12.0),
+                          inflow_rows=inflows)
+    else:
+        tree = binary_tree(4, num_posts=L, rng=rng, inflow_max=3)
+    unit = random_hydro_unit(rng, int(rng.integers(6, 14)))
+    weights = np.repeat(tree.prob, L)
+    lam = rng.uniform(-1.0, 6.0, tree.dim) * weights
+    if kind == "ties":
+        # integer prices tie across posts and with the terminal slopes;
+        # the flat last piece leaves a zero slope for the hull to drop
+        lam = np.repeat(rng.integers(-1, 5, tree.num_nodes), L) * weights
+        knee = unit.value_points[1]
+        unit = HydroUnit("r", 0.0, unit.x_max, unit.x0, unit.p_max,
+                         ((0.0, 0.0), knee, (unit.x_max, knee[1])))
+    elif kind == "zero_caps":
+        for n in tree.nodes:
+            if rng.random() < 0.4:
+                n.hydro_programmed = np.zeros(1)
+        tree = ScenarioTree(tree.nodes, num_posts=L)
+    elif kind == "floor":
+        unit = HydroUnit("r", 2.0, unit.x_max, max(unit.x0, 2.0), unit.p_max,
+                         unit.value_points)
+    elif kind == "irregular":
+        # no integer grid: rounding shows if sums change order or length
+        for n in tree.nodes:
+            n.inflows = rng.uniform(0.0, 3.0, (1, L))
+        tree = ScenarioTree(tree.nodes, num_posts=L)
+        x_max = float(rng.uniform(6.0, 14.0))
+        knee = float(rng.uniform(1.0, x_max - 1.0))
+        s1, s2 = sorted(rng.uniform(0.5, 5.0, 2))[::-1]
+        unit = HydroUnit("r", 0.0, x_max, float(rng.uniform(0.0, x_max)),
+                         float(rng.uniform(0.1, 0.6)),
+                         ((0.0, 0.0), (knee, s1 * knee),
+                          (x_max, s1 * knee + s2 * (x_max - knee))))
+    elif kind == "full":
+        unit = HydroUnit("r", unit.x_min, unit.x_max, unit.x_max, unit.p_max,
+                         unit.value_points)
+        lam = np.abs(lam) * 0.1
+    return tree, unit, lam
+
+
+HYDRO_KINDS = ("binary", "chain", "ties", "zero_caps", "floor", "full",
+               "irregular")
+
+
+@pytest.mark.parametrize("kind", HYDRO_KINDS)
+def test_fused_hydro_recursion_equals_pwl_composition(kind):
+    rng = np.random.default_rng(HYDRO_KINDS.index(kind))
+    for trial in range(8):
+        tree, unit, lam = hydro_case(kind, rng)
+        W, G = hydro_value_functions(lam, tree, unit, 0)[:2]
+        W_ref, G_ref = composed_value_functions(lam, tree, unit)
+        for got, want in zip(W + G, W_ref + G_ref):
+            assert got.x0 == want.x0 and got.y0 == want.y0
+            assert np.array_equal(got.slopes, want.slopes)
+            assert np.array_equal(got.widths, want.widths)
+        plan = theta_hydro(lam, tree, unit, 0)
+        value, release, spill, terminal = composed_plan(lam, tree, unit)
+        assert plan.value == value
+        assert np.array_equal(plan.release, release)
+        assert np.array_equal(plan.spill, spill)
+        assert np.array_equal(plan.terminal, terminal)
 
 
 # ----------------------------------------------------------------- ejp

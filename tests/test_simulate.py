@@ -74,6 +74,11 @@ def test_hydro_table_terminal_row_and_leaf_option_value(units3):
     assert tb.step_values.shape == (tree.num_days + 1, 21)
     np.testing.assert_array_equal(tb.continuation(tree.num_days - 1),
                                   unit.terminal_value(tb.grid))
+    # water prices are each continuation row's slopes, clipped at zero
+    for day in range(tree.num_days):
+        row = tb.continuation(day)
+        assert np.array_equal(tb.continuation_slopes(day), np.maximum(
+            np.diff(row) / np.diff(tb.grid), 0.0))
     # leaf rows include the leaf day's release option on top of it
     for leaf in tree.leaves:
         assert (tb.node_values[leaf]

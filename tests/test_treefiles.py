@@ -162,6 +162,32 @@ def test_record_lists_must_hold_objects(instance, kind, key, corrupt):
         load(p, tree) if kind == "multiplier" else load(p)
 
 
+def _set_first(key, field, value):
+    def corrupt(obj):
+        obj[key][0][field] = value
+    return corrupt
+
+
+@pytest.mark.parametrize("kind, field, corrupt", [
+    ("units", "value_points", _set_first("hydro", "value_points", 5)),
+    ("units", "value_points", _set_first("hydro", "value_points",
+                                         [[0.0, 1.0, 2.0]])),
+    ("scenarios", "inflows", _set_first("records", "inflows", 5)),
+    ("tree", "inflows", _set_first("nodes", "inflows", 5)),
+], ids=["value-points-int", "value-points-triple", "scenario-inflows-int",
+        "node-inflows-int"])
+def test_nested_number_fields_must_be_rows(instance, kind, field, corrupt):
+    d, tree, scens, units = instance
+    p = d / f"{kind}.json"
+    data = {"tree": tree, "units": units, "scenarios": scens}[kind]
+    getattr(treefiles, f"save_{kind}")(data, p)
+    obj = json.loads(p.read_text())
+    corrupt(obj)
+    p.write_text(json.dumps(obj))
+    with pytest.raises(FormatError, match=field):
+        getattr(treefiles, f"load_{kind}")(p)
+
+
 def test_scenario_count_mismatch(instance):
     d, _, scens, _ = instance
     p = d / "s.json"
