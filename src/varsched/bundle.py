@@ -11,7 +11,6 @@ ascent falls below ``tol * (1 + |best value|)``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -182,34 +181,3 @@ def maximize_dual(oracle, lam0: np.ndarray, params: BundleParams | None = None
     return BundleResult(lam=best_lam, theta=best_f, evaluation=best_ev,
                         status=status, iterations=len(trace) - 1,
                         oracle_calls=calls, trace=trace)
-
-
-def maximize_subgradient(oracle, lam0: np.ndarray, iterations: int = 300,
-                         overshoot: float = 0.05) -> BundleResult:
-    """Plain supergradient ascent with Polyak-style steps.
-
-    Much cruder than the bundle method; kept as an independent
-    cross-check of the maximizer on small instances.
-    """
-    lam = np.asarray(lam0, dtype=float).ravel().copy()
-    ev = oracle(lam)
-    best_ev, best_lam, best_f = ev, lam.copy(), ev.theta
-    scale = overshoot * (1.0 + abs(best_f))
-    trace = [TraceRow(0, ev.theta, best_f, np.inf, "start", 0.0,
-                      float(np.linalg.norm(ev.supergradient)))]
-    for it in range(1, iterations + 1):
-        s = ev.supergradient
-        nrm2 = float(s @ s)
-        if nrm2 <= 1e-30:
-            break
-        target = best_f + scale / math.sqrt(it)
-        step = (target - ev.theta) / nrm2
-        lam = lam + step * s
-        ev = oracle(lam)
-        if ev.theta > best_f:
-            best_ev, best_lam, best_f = ev, lam.copy(), ev.theta
-        trace.append(TraceRow(it, ev.theta, best_f, np.inf, "subgradient", 0.0,
-                              float(np.linalg.norm(s))))
-    return BundleResult(lam=best_lam, theta=best_f, evaluation=best_ev,
-                        status="iteration_limit", iterations=len(trace) - 1,
-                        oracle_calls=len(trace), trace=trace)

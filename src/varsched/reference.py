@@ -2,9 +2,10 @@
 
 Builds the whole-tree dispatch LP (thermal bounds, reservoir dynamics
 with terminal value hypograph cuts, demand equality per (node, post))
-and solves it with the in-house simplex.  This is the independent route
-used to certify the decomposition: its optimal cost bounds the dual
-from above, and its demand-row duals are admissible multipliers.
+as sparse blocks and solves it with scipy's HiGHS.  This is the
+independent route used to certify the decomposition: its optimal cost
+bounds the dual from above, and its demand-row duals are admissible
+multipliers.  scipy is imported only when a solve is asked for.
 
 EJP contracts use whole-day 0/1 decisions, which an LP cannot carry;
 they are excluded by default or relaxed to [0, 1] on request.
@@ -16,9 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lp import LpProblem, LpSolution, kkt_residuals, solve_lp
 from .tree import ScenarioTree
 from .units import UnitSet
+
+_STATUS = {0: "optimal", 1: "iteration_limit", 2: "infeasible",
+           3: "unbounded"}
 
 
 @dataclass
@@ -42,11 +45,61 @@ class ReferenceSolution:
 
 def _value_cuts(points):
     """Segment lines (slope, intercept) whose min reproduces a concave PWL."""
-    xs = np.array([p[0] for p in points])
-    ys = np.array([p[1] for p in points])
+    xs, ys = np.asarray(points, dtype=float).T
     slopes = np.diff(ys) / np.diff(xs)
-    intercepts = ys[:-1] - slopes * xs[:-1]
-    return slopes, intercepts
+    return slopes, ys[:-1] - slopes * xs[:-1]
+
+
+class _Lp:
+    """min c'x  s.t.  A x = b,  lo <= x <= hi, assembled block by block."""
+
+    def __init__(self):
+        self.size = 0
+        self.cost, self.lo, self.hi = [], [], []
+        self.rows, self.cols, self.vals, self.rhs = [], [], [], []
+
+    def var(self, shape, cost=0.0, lo=0.0, hi=np.inf) -> np.ndarray:
+        """Columns for a block of variables, as an index array of ``shape``."""
+        idx = self.size + np.arange(int(np.prod(shape))).reshape(shape)
+        self.size += idx.size
+        for out, value in ((self.cost, cost), (self.lo, lo), (self.hi, hi)):
+            out.append(np.broadcast_to(value, shape).ravel())
+        return idx
+
+    def eq(self, cols, vals, rhs) -> None:
+        """One row per row of ``cols``: sum of vals * x[cols] == rhs."""
+        cols = np.asarray(cols)
+        first = sum(r.size for r in self.rhs)
+        self.rows.append(np.repeat(first + np.arange(cols.shape[0]),
+                                   cols.shape[1]))
+        self.cols.append(cols.ravel())
+        self.vals.append(np.broadcast_to(vals, cols.shape).ravel())
+        self.rhs.append(np.asarray(rhs, dtype=float).ravel())
+
+    def arrays(self):
+        from scipy.sparse import coo_matrix
+
+        b = np.concatenate(self.rhs)
+        a = coo_matrix((np.concatenate(self.vals),
+                        (np.concatenate(self.rows), np.concatenate(self.cols))),
+                       shape=(b.size, self.size)).tocsr()
+        return (np.concatenate(self.cost), a, b, np.concatenate(self.lo),
+                np.concatenate(self.hi))
+
+
+def _kkt(c, a, b, lo, hi, x, y) -> dict:
+    """Absolute feasibility and complementary-slackness residuals.
+
+    ``row``: max |Ax - b|; ``bound``: worst bound violation; ``slack``:
+    worst |z_j| * gap_j with z the reduced costs and gap the distance to
+    the bound the sign of z_j calls for (|z_j| alone if that is infinite).
+    """
+    z = c - a.T @ y
+    gap = np.where(z > 0.0, x - lo, hi - x)
+    gap = np.where(np.isfinite(gap), gap, 1.0)
+    return {"row": float(np.abs(a @ x - b).max(initial=0.0)),
+            "bound": float(np.maximum(lo - x, x - hi).max(initial=0.0)),
+            "slack": float((np.abs(z) * gap).max(initial=0.0))}
 
 
 def check_capacity(tree: ScenarioTree, units: UnitSet,
@@ -69,9 +122,10 @@ def check_capacity(tree: ScenarioTree, units: UnitSet,
 
 
 def solve_primal_reference(tree: ScenarioTree, units: UnitSet,
-                           with_ejp: str = "exclude",
-                           max_iter: int | None = None) -> ReferenceSolution:
+                           with_ejp: str = "exclude") -> ReferenceSolution:
     """Solve the tree dispatch LP; ``with_ejp`` is 'exclude' or 'relax'."""
+    from scipy.optimize import linprog
+
     if with_ejp not in ("exclude", "relax"):
         raise ValueError("with_ejp must be 'exclude' or 'relax'")
     relax = with_ejp == "relax" and units.num_ejp > 0
@@ -79,204 +133,102 @@ def solve_primal_reference(tree: ScenarioTree, units: UnitSet,
 
     N, L = tree.num_nodes, tree.num_posts
     U, H = units.num_thermal, units.num_hydro
-    K = units.num_ejp if relax else 0
+    contracts = units.ejp if relax else []
+    K = len(contracts)
     leaves = tree.leaves
     NV = leaves.size
     pi = tree.prob
+    dur = tree.durations
+    father = tree.father_index
+    root = int(np.flatnonzero(father < 0)[0])
+    sons = np.flatnonzero(father >= 0)
+    fathers = father[sons]
     day_inflow = tree.inflows.sum(axis=2)        # (H, N)
 
-    cuts = [_value_cuts(u.value_points) for u in units.hydro]
     ejp_cuts = []
-    if relax:
-        for u in units.ejp:
-            pts = [(float(s), v) for s, v in enumerate(u.value_table)]
-            slopes = np.diff([v for _, v in pts])
-            if np.any(np.diff(slopes) > 1e-9):
-                raise ValueError(f"{u.name}: relaxed contract needs a concave "
-                                 "value table")
-            ejp_cuts.append(_value_cuts(pts))
+    for unit in contracts:
+        if np.any(np.diff(unit.value_table, 2) > 1e-9):
+            raise ValueError(f"{unit.name}: relaxed contract needs a concave "
+                             "value table")
+        ejp_cuts.append(_value_cuts(list(enumerate(unit.value_table))))
 
-    # column layout
-    ofs = {}
-    pos = 0
-    def block(name, count):
-        nonlocal pos
-        ofs[name] = pos
-        pos += count
-    block("u", U * N * L)
-    block("v", H * N * L)
-    block("dev", H * N)
-    block("s", H * N)
-    block("y", H * NV)
-    block("z", H * NV)
-    for h in range(H):
-        block(f"cut_slack{h}", NV * len(cuts[h][0]))
-    if relax:
-        block("t", K * N)
-        block("q", K * N)
-        block("w", K * NV)
-        block("zj", K * NV)
-        for k in range(K):
-            block(f"ejp_slack{k}", NV * len(ejp_cuts[k][0]))
-    ncol = pos
+    def along(values):
+        """Per-unit scalars as a column broadcasting over trailing axes."""
+        return np.array(values, dtype=float).reshape(-1, 1)
 
-    def u_col(l, n, p): return ofs["u"] + (l * N + n) * L + p
-    def v_col(h, n, p): return ofs["v"] + (h * N + n) * L + p
-    def dev_col(h, n): return ofs["dev"] + h * N + n
-    def s_col(h, n): return ofs["s"] + h * N + n
-    def y_col(h, j): return ofs["y"] + h * NV + j
-    def z_col(h, j): return ofs["z"] + h * NV + j
+    lp = _Lp()
+    th_cost = along([u.cost for u in units.thermal])
+    th_pmax = along([u.p_max for u in units.thermal])
+    u = lp.var((U, N, L), cost=(th_cost * pi)[:, :, None],
+               hi=(th_pmax * tree.thermal_programmed.T)[:, :, None] * dur)
+    hy_pmax = along([h.p_max for h in units.hydro])
+    x_min = along([h.x_min for h in units.hydro])
+    x_max = along([h.x_max for h in units.hydro])
+    v = lp.var((H, N, L),
+               hi=(hy_pmax * tree.hydro_programmed.T)[:, :, None] * dur)
+    dev = lp.var((H, N))
+    s_lo = np.repeat(x_min, N, axis=1)
+    s_hi = np.repeat(x_max, N, axis=1)
+    s_lo[:, root] = s_hi[:, root] = [h.x0 for h in units.hydro]
+    s = lp.var((H, N), lo=s_lo, hi=s_hi)
+    y = lp.var((H, NV), lo=x_min, hi=x_max)
+    z = lp.var((H, NV), cost=-pi[leaves], lo=-np.inf)
+    cuts = [_value_cuts(h.value_points) for h in units.hydro]
+    cut_slack = [lp.var((NV, slopes.size)) for slopes, _ in cuts]
+    days = along([k.days for k in contracts])
+    t = lp.var((K, N), hi=1.0)
+    q_lo = np.zeros((K, N))
+    q_lo[:, root:root + 1] = days
+    q = lp.var((K, N), lo=q_lo, hi=days)
+    w = lp.var((K, NV), hi=days)
+    zj = lp.var((K, NV), cost=-pi[leaves], lo=-np.inf)
+    ejp_slack = [lp.var((NV, slopes.size)) for slopes, _ in ejp_cuts]
 
-    nrow = N * L + H * (N - 1) + H * NV + sum(NV * len(c[0]) for c in cuts)
-    if relax:
-        nrow += K * (N - 1) + K * NV + sum(NV * len(c[0]) for c in ejp_cuts)
+    # demand equality per cell, first so its duals lead the row order
+    power = np.array([k.power for k in contracts], dtype=float)
+    lp.eq(np.concatenate([u.reshape(U, N * L).T, v.reshape(H, N * L).T,
+                          np.repeat(t.T, L, axis=0)], axis=1),
+          np.concatenate([np.ones((N * L, U + H)),
+                          dur.reshape(N * L, 1) * power], axis=1),
+          tree.demand)
 
-    A = np.zeros((nrow, ncol))
-    b = np.zeros(nrow)
-    c = np.zeros(ncol)
-    lower = np.zeros(ncol)
-    upper = np.full(ncol, np.inf)
+    def hypograph(value, level, slack, slopes, intercepts):
+        """value <= intercept + slope * level, one row per (leaf, segment)."""
+        k = slopes.size
+        lp.eq(np.column_stack([np.repeat(value, k), np.repeat(level, k),
+                               slack.ravel()]),
+              np.column_stack([np.ones(NV * k), -np.tile(slopes, NV),
+                               np.ones(NV * k)]),
+              np.tile(intercepts, NV))
 
-    # objective and bounds
-    for l, unit in enumerate(units.thermal):
-        for n in range(N):
-            for p in range(L):
-                j = u_col(l, n, p)
-                c[j] = pi[n] * unit.cost
-                upper[j] = (tree.thermal_programmed[n, l] * unit.p_max
-                            * tree.durations[n, p])
-    for h, unit in enumerate(units.hydro):
-        for n in range(N):
-            for p in range(L):
-                upper[v_col(h, n, p)] = (tree.hydro_programmed[n, h]
-                                         * unit.p_max * tree.durations[n, p])
-            lower[s_col(h, n)] = unit.x_min
-            upper[s_col(h, n)] = unit.x_max
-        root = int(np.flatnonzero(tree.father_index < 0)[0])
-        lower[s_col(h, root)] = unit.x0
-        upper[s_col(h, root)] = unit.x0
-        for j, n in enumerate(leaves):
-            lower[y_col(h, j)] = unit.x_min
-            upper[y_col(h, j)] = unit.x_max
-            lower[z_col(h, j)] = -np.inf
-            c[z_col(h, j)] = -pi[n]
-    if relax:
-        for k, unit in enumerate(units.ejp):
-            for n in range(N):
-                upper[ofs["t"] + k * N + n] = 1.0
-                upper[ofs["q"] + k * N + n] = float(unit.days)
-            root = int(np.flatnonzero(tree.father_index < 0)[0])
-            lower[ofs["q"] + k * N + root] = float(unit.days)
-            upper[ofs["q"] + k * N + root] = float(unit.days)
-            for j, n in enumerate(leaves):
-                upper[ofs["w"] + k * NV + j] = float(unit.days)
-                lower[ofs["zj"] + k * NV + j] = -np.inf
-                c[ofs["zj"] + k * NV + j] = -pi[n]
-
-    row = 0
-    # demand equality per cell
-    for n in range(N):
-        for p in range(L):
-            for l in range(U):
-                A[row, u_col(l, n, p)] = 1.0
-            for h in range(H):
-                A[row, v_col(h, n, p)] = 1.0
-            if relax:
-                for k, unit in enumerate(units.ejp):
-                    A[row, ofs["t"] + k * N + n] = unit.power * tree.durations[n, p]
-            b[row] = tree.demand[n, p]
-            row += 1
     # reservoir dynamics: son stock = father stock + inflow - release - spill
+    step = np.concatenate([[1.0, -1.0], np.ones(L + 1)])
     for h in range(H):
-        for n in range(N):
-            f = tree.father_index[n]
-            if f < 0:
-                continue
-            A[row, s_col(h, n)] = 1.0
-            A[row, s_col(h, f)] = -1.0
-            for p in range(L):
-                A[row, v_col(h, f, p)] = 1.0
-            A[row, dev_col(h, f)] = 1.0
-            b[row] = day_inflow[h, f]
-            row += 1
-        for j, n in enumerate(leaves):
-            A[row, y_col(h, j)] = 1.0
-            A[row, s_col(h, n)] = -1.0
-            for p in range(L):
-                A[row, v_col(h, n, p)] = 1.0
-            A[row, dev_col(h, n)] = 1.0
-            b[row] = day_inflow[h, n]
-            row += 1
-        slopes, intercepts = cuts[h]
-        slack0 = ofs[f"cut_slack{h}"]
-        for j in range(NV):
-            for k in range(len(slopes)):
-                A[row, z_col(h, j)] = 1.0
-                A[row, y_col(h, j)] = -slopes[k]
-                A[row, slack0 + j * len(slopes) + k] = 1.0
-                b[row] = intercepts[k]
-                row += 1
-    if relax:
-        for k, unit in enumerate(units.ejp):
-            tcol = lambda n: ofs["t"] + k * N + n
-            qcol = lambda n: ofs["q"] + k * N + n
-            for n in range(N):
-                f = tree.father_index[n]
-                if f < 0:
-                    continue
-                A[row, qcol(n)] = 1.0
-                A[row, qcol(f)] = -1.0
-                A[row, tcol(f)] = 1.0
-                row += 1
-            for j, n in enumerate(leaves):
-                A[row, ofs["w"] + k * NV + j] = 1.0
-                A[row, qcol(n)] = -1.0
-                A[row, tcol(n)] = 1.0
-                row += 1
-            slopes, intercepts = ejp_cuts[k]
-            slack0 = ofs[f"ejp_slack{k}"]
-            for j in range(NV):
-                for kk in range(len(slopes)):
-                    A[row, ofs["zj"] + k * NV + j] = 1.0
-                    A[row, ofs["w"] + k * NV + j] = -slopes[kk]
-                    A[row, slack0 + j * len(slopes) + kk] = 1.0
-                    b[row] = intercepts[kk]
-                    row += 1
-    assert row == nrow
+        lp.eq(np.column_stack([s[h, sons], s[h, fathers], v[h, fathers],
+                               dev[h, fathers]]),
+              step, day_inflow[h, fathers])
+        lp.eq(np.column_stack([y[h], s[h, leaves], v[h, leaves],
+                               dev[h, leaves]]),
+              step, day_inflow[h, leaves])
+        hypograph(z[h], y[h], cut_slack[h], *cuts[h])
+    # contract days left: son = father - used by the father
+    for k in range(K):
+        lp.eq(np.column_stack([q[k, sons], q[k, fathers], t[k, fathers]]),
+              [1.0, -1.0, 1.0], np.zeros(sons.size))
+        lp.eq(np.column_stack([w[k], q[k, leaves], t[k, leaves]]),
+              [1.0, -1.0, 1.0], np.zeros(NV))
+        hypograph(zj[k], w[k], ejp_slack[k], *ejp_cuts[k])
 
-    sol = solve_lp(LpProblem(c=c, a=A, b=b, lower=lower, upper=upper),
-                   max_iter=max_iter)
-    if not sol.ok:
-        return ReferenceSolution(status=sol.status, iterations=sol.iterations)
-
-    x = sol.x
-    thermal = np.empty((U, N, L))
-    for l in range(U):
-        for n in range(N):
-            for p in range(L):
-                thermal[l, n, p] = x[u_col(l, n, p)]
-    hydro = np.empty((H, N, L))
-    spill = np.empty((H, N))
-    stocks = np.empty((H, N))
-    terminal = np.empty((H, NV))
-    for h in range(H):
-        for n in range(N):
-            for p in range(L):
-                hydro[h, n, p] = x[v_col(h, n, p)]
-            spill[h, n] = x[dev_col(h, n)]
-            stocks[h, n] = x[s_col(h, n)]
-        for j in range(NV):
-            terminal[h, j] = x[y_col(h, j)]
-    ejp_on = None
-    if relax:
-        ejp_on = np.empty((K, N))
-        for k in range(K):
-            for n in range(N):
-                ejp_on[k, n] = x[ofs["t"] + k * N + n]
-    duals = sol.duals[:N * L].reshape(N, L)
-    prob = LpProblem(c=c, a=A, b=b, lower=lower, upper=upper)
-    return ReferenceSolution(status="optimal", cost=sol.objective,
-                             thermal=thermal, hydro=hydro, spill=spill,
-                             stocks=stocks, terminal=terminal, ejp_on=ejp_on,
-                             duals_demand=duals, kkt=kkt_residuals(prob, sol),
-                             iterations=sol.iterations)
+    c, a, b, lo, hi = lp.arrays()
+    res = linprog(c, A_eq=a, b_eq=b, bounds=np.column_stack([lo, hi]),
+                  method="highs")
+    if res.status != 0:
+        return ReferenceSolution(status=_STATUS.get(res.status, "numerical"),
+                                 iterations=res.nit)
+    x, duals = res.x, res.eqlin.marginals
+    return ReferenceSolution(
+        status="optimal", cost=float(res.fun), thermal=x[u], hydro=x[v],
+        spill=x[dev], stocks=x[s], terminal=x[y],
+        ejp_on=x[t] if relax else None,
+        duals_demand=duals[:N * L].reshape(N, L),
+        kkt=_kkt(c, a, b, lo, hi, x, duals), iterations=res.nit)

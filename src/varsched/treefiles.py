@@ -34,8 +34,11 @@ def _dump(obj, path) -> None:
 
 
 def _load(path, expected_format: str) -> dict:
+    def reject(literal):
+        raise FormatError(f"{path}: non-finite number {literal} is not allowed")
+
     try:
-        obj = json.loads(Path(path).read_text())
+        obj = json.loads(Path(path).read_text(), parse_constant=reject)
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(obj, dict):

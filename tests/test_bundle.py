@@ -7,8 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from varsched.bundle import (BundleParams, _simplex_qp, maximize_dual,
-                             maximize_subgradient)
+from varsched.bundle import BundleParams, _simplex_qp, maximize_dual
 from varsched.oracles import default_multiplier, dual_oracle, RunMode
 from varsched.reference import solve_primal_reference
 
@@ -104,16 +103,6 @@ def test_dual_ascent_closes_duality_gap(small_instance):
     assert rel <= 1e-4
     # weak duality holds along the whole trace, not just at the end
     assert all(r.theta <= sol.cost + 1e-6 * abs(sol.cost) for r in res.trace)
-
-
-def test_subgradient_cross_check(small_instance):
-    tree, _, units = small_instance
-    oracle = dual_oracle(tree, units, RunMode())
-    lam0 = default_multiplier(tree, units)
-    ref = maximize_dual(oracle, lam0, BundleParams(max_iter=300, tol=1e-7))
-    crude = maximize_subgradient(oracle, lam0, iterations=400)
-    assert crude.theta <= ref.theta + 1e-6 * (1.0 + abs(ref.theta))
-    assert crude.theta >= ref.theta - 0.02 * (1.0 + abs(ref.theta))
 
 
 def test_start_point_already_optimal():

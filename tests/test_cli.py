@@ -82,6 +82,30 @@ def test_validate_rejects_malformed_scenario_inflows(demo_dir, tmp_path):
     assert code == 2
 
 
+def nan_demand(tree):
+    tree["nodes"][0]["demand"][0] = float("nan")
+
+
+def infinite_cost(units):
+    units["thermal"][0]["cost"] = float("inf")
+
+
+@pytest.mark.parametrize("name, corrupt", [("tree.json", nan_demand),
+                                           ("units.json", infinite_cost)],
+                         ids=["nan-demand", "infinite-cost"])
+def test_non_finite_literals_are_config_errors(demo_dir, tmp_path, name,
+                                               corrupt):
+    obj = json.loads((demo_dir / name).read_text())
+    corrupt(obj)
+    for other in ("tree.json", "units.json"):
+        (tmp_path / other).write_bytes(read_bytes(demo_dir / other))
+    (tmp_path / name).write_text(json.dumps(obj))   # NaN / Infinity literals
+    flags = instance_flags(tmp_path, False)
+    assert main(["validate"] + flags) == 2
+    assert main(["optimize"] + flags + ["--out", str(tmp_path / "out")]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_validate_rejects_missing_file(tmp_path):
     code = main(["validate", "--tree", str(tmp_path / "nope.json")])
     assert code == 2

@@ -1,5 +1,9 @@
 """Whole-tree dispatch LP: hand instances, flow conservation, KKT health."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,11 +13,11 @@ from varsched.units import EjpContract, HydroUnit, ThermalUnit, UnitSet
 from conftest import chain_tree, small_synth, small_unit_set
 
 
-def one_day_units(water_value=5.0):
+def one_day_units(water_value=5.0, x0=400.0):
     return UnitSet(
         thermal=[ThermalUnit("cheap", 10.0, 50.0, 2, 0.9),
                  ThermalUnit("dear", 40.0, 50.0, 2, 0.9)],
-        hydro=[HydroUnit("res", 0.0, 1000.0, 400.0, 30.0,
+        hydro=[HydroUnit("res", 0.0, 1000.0, x0, 30.0,
                          ((0.0, 0.0), (1000.0, water_value * 1000.0)))])
 
 
@@ -90,6 +94,23 @@ def test_capacity_check_raises():
         check_capacity(tree, units)
     with pytest.raises(ValueError):
         solve_primal_reference(tree, units)
+
+
+def test_infeasible_status_is_returned():
+    # 2 x 500 MWh of thermal plus 300 MWh of turbine cover 1200 MWh, so
+    # the capacity check passes, but only 100 MWh of water is in store
+    units = one_day_units(x0=100.0)
+    tree = chain_tree([[1200.0]], durations=(10.0,), num_thermal=2)
+    check_capacity(tree, units)
+    sol = solve_primal_reference(tree, units)
+    assert sol.status == "infeasible"
+    assert not sol.ok
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, varsched; assert 'scipy' not in sys.modules"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_ejp_relaxation_cannot_cost_more(units3_ejp):
