@@ -14,15 +14,14 @@ from .oracles import (DualEvaluation, RiskConfig, RunMode,
                       theta_demand_robust, theta_ejp, theta_hydro,
                       theta_thermal, theta_thermal_var)
 from .reference import ReferenceSolution, solve_primal_reference
-from .risk import (CovarianceModel, calibrate_sigma, ellipsoid_support,
-                   inverse_normal_cdf, kappa, normal_cdf)
-from .simulate import (BellmanTable, CostReport, ReservoirStats, SimOptions,
+from .risk import CovarianceModel, calibrate_sigma, ellipsoid_support, kappa
+from .simulate import (BellmanTable, CostReport, ReservoirStats,
                        compute_bellman, empirical_quantile, run_monte_carlo,
                        simulate_scenario)
 from .synth import SynthConfig, generate_synthetic
 from .tree import Node, Scenario, ScenarioTree, check_scenario, validate_tree
 from .units import (AvailabilityModel, EjpContract, HydroUnit, ThermalUnit,
-                    UnitSet, thermal_energy_bound)
+                    UnitSet)
 
 __version__ = "0.1.0"
 

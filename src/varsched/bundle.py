@@ -15,17 +15,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+PROX_MIN = 1e-9                      # bounds on the prox weight mu
+PROX_MAX = 1e9
+DESCENT_FRACTION = 0.1               # serious-step acceptance threshold
+QP_ITERS = 1000
+
 
 @dataclass
 class BundleParams:
     max_iter: int = 500
     tol: float = 1e-6
     prox_weight: float = 1.0         # initial mu; candidate = center + agg/mu
-    prox_min: float = 1e-9
-    prox_max: float = 1e9
     bundle_max: int = 40
-    descent_fraction: float = 0.1    # serious-step acceptance threshold
-    qp_iters: int = 1000
 
 
 @dataclass
@@ -137,7 +138,7 @@ def maximize_dual(oracle, lam0: np.ndarray, params: BundleParams | None = None
     for it in range(1, p.max_iter + 1):
         e = np.maximum((cons + S @ center) - f_center, 0.0)
         G = S @ S.T
-        alpha = _simplex_qp(G, e, mu, p.qp_iters)
+        alpha = _simplex_qp(G, e, mu, QP_ITERS)
         agg = S.T @ alpha
         candidate = center + agg / mu
         gap = float(np.min(cons + S @ candidate)) - f_center
@@ -154,18 +155,18 @@ def maximize_dual(oracle, lam0: np.ndarray, params: BundleParams | None = None
         if f_cand > best_f:
             best_ev, best_lam, best_f = ev, candidate.copy(), f_cand
 
-        if f_cand >= f_center + p.descent_fraction * gap:
+        if f_cand >= f_center + DESCENT_FRACTION * gap:
             ratio = (f_cand - f_center) / gap if gap > 0 else 1.0
             center, f_center = candidate, f_cand
             step = "serious"
             nulls = 0
             if ratio >= 0.7:
-                mu = max(p.prox_min, 0.5 * mu)
+                mu = max(PROX_MIN, 0.5 * mu)
         else:
             step = "null"
             nulls += 1
             if nulls >= 3:
-                mu = min(p.prox_max, 1.5 * mu)
+                mu = min(PROX_MAX, 1.5 * mu)
                 nulls = 0
         trace.append(TraceRow(it, f_cand, best_f, gap, step, mu,
                               float(np.linalg.norm(ev.supergradient))))

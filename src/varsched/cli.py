@@ -27,12 +27,9 @@ import numpy as np
 from . import bench, treefiles
 from .bundle import BundleParams, maximize_dual
 from .oracles import MODES, RiskConfig, RunMode, default_multiplier, dual_oracle
-from .simulate import (ReservoirStats, SimOptions, compute_bellman,
-                       run_monte_carlo)
+from .simulate import compute_bellman, run_monte_carlo
 from .synth import generate_synthetic
 from .tree import check_scenario, validate_tree
-
-DIVERGENCE_LIMIT = 1e18
 
 
 class ConfigError(Exception):
@@ -165,14 +162,39 @@ def _require(args, names) -> None:
             raise ConfigError(f"--{name} is required (or set VARSCHED_{name.upper()})")
 
 
+def _load(kind, loader, path):
+    try:
+        return loader(path)
+    except (OSError, treefiles.FormatError, ValueError) as exc:
+        raise ConfigError(f"{kind}: {exc}") from exc
+
+
+def _check_instance(tree, units, scens, problems=()) -> None:
+    """Raise ConfigError on ``problems`` or on files that do not fit the tree.
+
+    Unit counts and scenario shapes are checked; ``None`` skips a file.
+    """
+    problems = list(problems)
+    if units is not None:
+        if units.num_thermal != tree.num_thermal:
+            problems.append("units: thermal count differs from tree")
+        if units.num_hydro != tree.num_hydro:
+            problems.append("units: hydro count differs from tree")
+    for i, s in enumerate(scens or ()):
+        problems += [f"scenario {i}: {msg}" for msg in check_scenario(tree, s)]
+    if problems:
+        for msg in problems:
+            print(f"invalid: {msg}", file=sys.stderr)
+        raise ConfigError(f"{len(problems)} problem(s) found")
+
+
 def _load_instance(args, scenarios=False):
     _require(args, ["tree", "units"] + (["scenarios"] if scenarios else []))
-    try:
-        tree = treefiles.load_tree(args.tree)
-        units = treefiles.load_units(args.units)
-        scens = treefiles.load_scenarios(args.scenarios) if scenarios else None
-    except (OSError, treefiles.FormatError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    tree = _load("tree", treefiles.load_tree, args.tree)
+    units = _load("units", treefiles.load_units, args.units)
+    scens = (_load("scenarios", treefiles.load_scenarios, args.scenarios)
+             if scenarios else None)
+    _check_instance(tree, units, scens)
     return tree, units, scens
 
 
@@ -197,44 +219,42 @@ def cmd_generate(args) -> int:
 
 def cmd_validate(args) -> int:
     _require(args, ["tree"])
-    try:
-        tree = treefiles.load_tree(args.tree)
-    except (OSError, treefiles.FormatError, ValueError) as exc:
-        raise ConfigError(f"tree: {exc}") from exc
+    tree = _load("tree", treefiles.load_tree, args.tree)
     problems = validate_tree(tree)
-    if args.units:
-        try:
-            units = treefiles.load_units(args.units)
-        except (OSError, treefiles.FormatError, ValueError) as exc:
-            raise ConfigError(f"units: {exc}") from exc
-        if units.num_thermal != tree.num_thermal:
-            problems.append("units: thermal count differs from tree")
-        if units.num_hydro != tree.num_hydro:
-            problems.append("units: hydro count differs from tree")
-    if args.scenarios:
-        try:
-            scens = treefiles.load_scenarios(args.scenarios)
-        except (OSError, treefiles.FormatError, ValueError) as exc:
-            raise ConfigError(f"scenarios: {exc}") from exc
-        for i, s in enumerate(scens):
-            for msg in check_scenario(tree, s):
-                problems.append(f"scenario {i}: {msg}")
-    if problems:
-        for msg in problems:
-            print(f"invalid: {msg}", file=sys.stderr)
-        raise ConfigError(f"{len(problems)} problem(s) found")
+    units = (_load("units", treefiles.load_units, args.units)
+             if args.units else None)
+    scens = (_load("scenarios", treefiles.load_scenarios, args.scenarios)
+             if args.scenarios else None)
+    _check_instance(tree, units, scens, problems)
     print("ok")
     return 0
+
+
+def _cost_ceiling(tree, units) -> float:
+    """Cost of the dearest feasible plan, an upper bound on the optimum.
+
+    Every plant runs flat out on every cell, and every reservoir and
+    contract ends the year empty.  By weak duality no dual value of a
+    feasible problem exceeds it, in any mode.
+    """
+    hours = tree.thermal_programmed.T @ (tree.prob * tree.durations.sum(axis=1))
+    fuel = sum(u.cost * u.p_max * h
+               for u, h in zip(units.thermal, hours.tolist()))
+    credit = (sum(float(u.terminal_value(u.x_min)) for u in units.hydro)
+              + sum(c.value_table[0] for c in units.ejp))
+    return fuel - float(tree.prob[tree.leaves].sum()) * credit
 
 
 def _optimize_mode(tree, units, kind, risk, params, outdir) -> None:
     oracle = dual_oracle(tree, units, RunMode(kind=kind, risk=risk))
     lam0 = default_multiplier(tree, units)
     res = maximize_dual(oracle, lam0, params)
-    if not np.isfinite(res.theta) or abs(res.theta) > DIVERGENCE_LIMIT:
+    ceiling = _cost_ceiling(tree, units)
+    if not res.theta <= ceiling + 1e-9 * abs(ceiling):
         raise NumericalError(
-            f"optimize:{kind}: dual appears unbounded (theta={res.theta:.3e}); "
-            "demand likely exceeds the mode's usable capacity")
+            f"optimize:{kind}: theta={res.theta:.6e} exceeds {ceiling:.6e}, "
+            "the cost of the dearest feasible plan, so the mode's problem "
+            "is infeasible: demand exceeds its usable capacity")
     os.makedirs(outdir, exist_ok=True)
     treefiles.save_multiplier(res.lam, tree, os.path.join(outdir, "lambda.json"))
     comp = {k: float(v) for k, v in res.evaluation.components.items()}
@@ -277,9 +297,8 @@ def _simulate_mode(tree, units, scens, kind, args, outdir) -> None:
             f"simulate:{kind}: {lam_path} not found (run optimize first)")
     lam = treefiles.load_multiplier(lam_path, tree)
     tables = compute_bellman(tree, lam, units, grid_size=args.grid)
-    opts = SimOptions(penalty_factor=args.penalty)
     report, stats, results = run_monte_carlo(
-        scens, tree, units, tables, opts, workers=args.workers)
+        scens, tree, units, tables, args.penalty, workers=args.workers)
     if not np.isfinite(report.mean):
         raise NumericalError(f"simulate:{kind}: non-finite simulated cost")
     _write_csv(os.path.join(outdir, "costs.csv"),

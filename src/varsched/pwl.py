@@ -35,10 +35,6 @@ class ConcavePwl:
     def x1(self) -> float:
         return self.x0 + float(self.widths.sum())
 
-    @property
-    def y1(self) -> float:
-        return self.y0 + float((self.slopes * self.widths).sum())
-
     def breakpoints(self):
         xs = self.x0 + np.concatenate(([0.0], np.cumsum(self.widths)))
         ys = self.y0 + np.concatenate(([0.0], np.cumsum(self.slopes * self.widths)))
@@ -76,14 +72,6 @@ def from_breakpoints(xs, ys) -> ConcavePwl:
     slopes = np.diff(ys) / widths
     return ConcavePwl(x0=float(xs[0]), y0=float(ys[0]), slopes=slopes,
                       widths=widths)
-
-
-def constant(x0: float, x1: float, value: float) -> ConcavePwl:
-    if x1 < x0:
-        raise ValueError("empty domain")
-    if x1 == x0:
-        return ConcavePwl(x0, value, np.empty(0), np.empty(0))
-    return ConcavePwl(x0, value, np.zeros(1), np.array([x1 - x0]))
 
 
 def is_concave(f: ConcavePwl, tol: float = SLOPE_TOL) -> bool:

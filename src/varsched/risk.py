@@ -1,82 +1,35 @@
-"""Risk utilities: normal quantiles, VaR safety factors, demand-ellipsoid calibration.
+"""Risk utilities: VaR safety factors, demand-ellipsoid calibration.
 
 The robust variants of the dual function replace exact quantities by
 Value-at-Risk estimates.  Everything needed for that lives here: the
-standard normal cdf and its inverse, the safety factor kappa(eps), the
-half-gap rule that calibrates per-cell demand dispersion from the
-cross-section of a scenario tree, and the support function of the
-resulting demand ellipsoid.
+safety factor kappa(eps), the half-gap rule that calibrates per-cell
+demand dispersion from the cross-section of a scenario tree, and the
+support function of the resulting demand ellipsoid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 KAPPA_MODES = ("gaussian", "general")
-
-
-def normal_cdf(x: float) -> float:
-    """Standard normal cdf, accurate in both tails."""
-    return 0.5 * math.erfc(-x / _SQRT2)
-
-
-def normal_pdf(x: float) -> float:
-    return _INV_SQRT_2PI * math.exp(-0.5 * x * x)
-
-
-def inverse_normal_cdf(p: float) -> float:
-    """Quantile of the standard normal law.
-
-    Bisection bracket followed by safeguarded Newton on ``normal_cdf``;
-    the composition ``normal_cdf(inverse_normal_cdf(p))`` matches ``p``
-    to about 1e-15 absolute over [1e-6, 1 - 1e-6].
-    """
-    if not 0.0 < p < 1.0:
-        raise ValueError(f"probability must lie in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    for _ in range(30):  # narrow the bracket enough for Newton to be safe
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(60):
-        err = normal_cdf(x) - p
-        if err > 0.0:
-            hi = x
-        elif err < 0.0:
-            lo = x
-        else:
-            return x
-        dens = normal_pdf(x)
-        step = err / dens if dens > 0.0 else 0.0
-        x_new = x - step
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if x_new == x:
-            break
-        x = x_new
-    return x
 
 
 def kappa(eps: float, mode: str = "gaussian") -> float:
     """Safety factor multiplying the dispersion in a VaR estimate.
 
-    ``gaussian`` assumes normally distributed errors; ``general`` only
-    uses the one-sided Chebyshev bound and is therefore much more
-    conservative (kappa(0.1) = 3 instead of 1.28).
+    ``gaussian`` assumes normally distributed errors and returns the
+    standard normal quantile at ``1 - eps``; ``general`` only uses the
+    one-sided Chebyshev bound and is therefore much more conservative
+    (kappa(0.1) = 3 instead of 1.28).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
     if mode == "gaussian":
-        return inverse_normal_cdf(1.0 - eps)
+        return NormalDist().inv_cdf(1.0 - eps)
     if mode == "general":
         return math.sqrt((1.0 - eps) / eps)
     raise ValueError(f"unknown kappa mode {mode!r}, expected one of {KAPPA_MODES}")
@@ -114,31 +67,19 @@ def calibrate_sigma(values) -> np.ndarray:
 class CovarianceModel:
     """Second-order model of demand uncertainty around a mean vector.
 
-    ``diag`` holds per-cell variances; alternatively ``dense`` holds a
-    full symmetric PSD matrix.  Exactly one of the two must be set.
+    ``diag`` holds the per-cell variances.
     """
 
     d_bar: np.ndarray
-    diag: np.ndarray | None = None
-    dense: np.ndarray | None = None
+    diag: np.ndarray
 
     def __post_init__(self):
         self.d_bar = np.asarray(self.d_bar, dtype=float).ravel()
-        if (self.diag is None) == (self.dense is None):
-            raise ValueError("exactly one of diag/dense must be given")
-        if self.diag is not None:
-            self.diag = np.asarray(self.diag, dtype=float).ravel()
-            if self.diag.shape != self.d_bar.shape:
-                raise ValueError("diag length must match d_bar")
-            if np.any(self.diag < 0.0):
-                raise ValueError("variances must be nonnegative")
-        else:
-            self.dense = np.asarray(self.dense, dtype=float)
-            n = self.d_bar.size
-            if self.dense.shape != (n, n):
-                raise ValueError("dense matrix shape must match d_bar")
-            if not np.allclose(self.dense, self.dense.T, atol=1e-10):
-                raise ValueError("dense covariance must be symmetric")
+        self.diag = np.asarray(self.diag, dtype=float).ravel()
+        if self.diag.shape != self.d_bar.shape:
+            raise ValueError("diag length must match d_bar")
+        if np.any(self.diag < 0.0):
+            raise ValueError("variances must be nonnegative")
 
     @classmethod
     def from_sigma(cls, d_bar, sigma) -> "CovarianceModel":
@@ -150,9 +91,7 @@ class CovarianceModel:
         return self.d_bar.size
 
     def matvec(self, lam: np.ndarray) -> np.ndarray:
-        if self.diag is not None:
-            return self.diag * lam
-        return self.dense @ lam
+        return self.diag * lam
 
     def quad(self, lam: np.ndarray) -> float:
         # lam' Gamma lam, clipped at 0 against roundoff

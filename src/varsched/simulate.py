@@ -138,11 +138,6 @@ def expected_frame(tree: ScenarioTree) -> SimFrame:
 
 # ------------------------------------------------------------ dispatch
 
-@dataclass(frozen=True)
-class SimOptions:
-    penalty_factor: float = 10.0       # unserved price = factor * dearest fuel
-
-
 @dataclass
 class SimResult:
     cost: float
@@ -241,7 +236,7 @@ def _dispatch_day(demand, tcaps, hydro_caps, order, tcosts, pools, tranches,
 
 
 def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
-                      tables: Tables, options: SimOptions = SimOptions()
+                      tables: Tables, penalty_factor: float = 10.0
                       ) -> SimResult:
     """Dispatch one simulated year against the value tables.
 
@@ -250,12 +245,14 @@ def simulate_scenario(scenario: Scenario, frame: SimFrame, units: UnitSet,
     (dispatch cost minus continuation values) wins, ties resolving to
     keeping the day.  With several contracts the decisions are taken
     greedily in unit order; the winning dispatch is the day's outcome.
+    Unserved energy is priced at ``penalty_factor`` times the dearest
+    fuel cost.
     """
     T, L = scenario.demand.shape
     U, H, K = units.num_thermal, units.num_hydro, units.num_ejp
     tcosts = np.array([u.cost for u in units.thermal])
     order = sorted(range(U), key=lambda u: (tcosts[u], u))
-    pen = options.penalty_factor * (tcosts.max() if U else 1.0)
+    pen = penalty_factor * (tcosts.max() if U else 1.0)
     tpmax = np.array([u.p_max for u in units.thermal])
     hpmax = np.array([u.p_max for u in units.hydro])
     grids = [tb.grid for tb in tables.hydro]    # each spans [x_min, x_max]
@@ -420,7 +417,7 @@ def _simulate_args(args):
 
 
 def run_monte_carlo(scenarios, tree: ScenarioTree, units: UnitSet,
-                    tables: Tables, options: SimOptions = SimOptions(),
+                    tables: Tables, penalty_factor: float = 10.0,
                     workers: int = 1):
     """Simulate every scenario; returns (CostReport, ReservoirStats, results).
 
@@ -428,7 +425,7 @@ def run_monte_carlo(scenarios, tree: ScenarioTree, units: UnitSet,
     do not depend on parallelism.
     """
     frame = expected_frame(tree)
-    jobs = [(s, frame, units, tables, options) for s in scenarios]
+    jobs = [(s, frame, units, tables, penalty_factor) for s in scenarios]
     if workers <= 1:
         results = [simulate_scenario(*j) for j in jobs]
     else:

@@ -23,10 +23,10 @@ class Node:
 
     ``father`` is the id of the previous day's node (None for the
     root).  ``trans_prob`` is the probability of reaching this node
-    from its father; the unconditional probability ``prob`` is filled
-    in by the tree.  ``inflows`` has one row per reservoir; the
-    programmed rates are capacity fractions left by planned maintenance
-    (1 = fully available).
+    from its father; the tree computes unconditional probabilities.
+    ``inflows`` has one row per reservoir; the programmed rates are
+    capacity fractions left by planned maintenance (1 = fully
+    available).
     """
 
     id: int
@@ -38,7 +38,6 @@ class Node:
     inflows: np.ndarray
     thermal_programmed: np.ndarray
     hydro_programmed: np.ndarray
-    prob: float | None = None
 
     def __post_init__(self):
         self.durations = np.asarray(self.durations, dtype=float).ravel()
@@ -100,7 +99,6 @@ class ScenarioTree:
         for i, n in enumerate(self.nodes):
             f = self.father_index[i]
             self.prob[i] = n.trans_prob if f < 0 else self.prob[f] * n.trans_prob
-            n.prob = float(self.prob[i])
 
         self.sons: list[np.ndarray] = [None] * self.num_nodes
         son_lists = [[] for _ in range(self.num_nodes)]
@@ -125,11 +123,6 @@ class ScenarioTree:
     def dim(self) -> int:
         """Length of a multiplier vector: one entry per (node, post)."""
         return self.num_nodes * self.num_posts
-
-    def multiplier_index(self, node_id: int, post: int) -> int:
-        if not 0 <= post < self.num_posts:
-            raise ValueError(f"post {post} outside [0, {self.num_posts})")
-        return self.id_to_index[node_id] * self.num_posts + post
 
     def cells(self, flat: np.ndarray) -> np.ndarray:
         """View a flat per-cell vector as an (num_nodes, num_posts) array."""

@@ -54,24 +54,6 @@ class AvailabilityModel:
                    beta2=1.0 - (1.0 - alpha) * (1.0 - persistence),
                    p_work=alpha, check_interval=check_interval)
 
-    def availability(self, k: int) -> float:
-        """Probability that a group works at the k-th checking date."""
-        if k < 0:
-            raise ValueError("check index must be nonnegative")
-        # iterate the distribution row instead of powering the matrix
-        p_fail, p_work = 1.0 - self.p_work, self.p_work
-        for _ in range(k):
-            p_fail, p_work = (p_fail * self.beta1 + p_work * (1.0 - self.beta2),
-                              p_fail * (1.0 - self.beta1) + p_work * self.beta2)
-        return min(max(p_work, 0.0), 1.0)
-
-    def stationary(self) -> float:
-        """Long-run working probability of the chain."""
-        denom = (1.0 - self.beta1) + (1.0 - self.beta2)
-        if denom <= 0.0:  # absorbing in both states: distribution never moves
-            return self.p_work
-        return (1.0 - self.beta1) / denom
-
     def sample_rates(self, n_groups: int, num_days: int,
                      rng: np.random.Generator) -> np.ndarray:
         """Daily availability rates for a fleet of ``n_groups`` groups.
@@ -96,17 +78,6 @@ class AvailabilityModel:
         return rates
 
 
-def binomial_rate_moments(n_groups: int, alpha: float) -> tuple[float, float]:
-    """Mean and variance of the working fraction of n independent groups."""
-    return alpha, alpha * (1.0 - alpha) / n_groups
-
-
-def thermal_energy_bound(p_max: float, duration: float,
-                         programmed: float = 1.0, realized: float = 1.0) -> float:
-    """Maximum energy of a plant over one post, MWh."""
-    return realized * programmed * p_max * duration
-
-
 @dataclass(frozen=True)
 class ThermalUnit:
     name: str
@@ -125,16 +96,6 @@ class ThermalUnit:
             raise ValueError(f"{self.name}: need at least one group")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"{self.name}: alpha must lie in [0, 1]")
-
-    @property
-    def group_power(self) -> float:
-        return self.p_max / self.n_groups
-
-    def gaussian_approx_ok(self) -> bool:
-        """Whether the normal approximation of the outage binomial is defensible."""
-        # n - n*a, not n*(1-a): keeps boundary cases like (100, 0.9) exact
-        expected_up = self.n_groups * self.alpha
-        return expected_up >= 10.0 and self.n_groups - expected_up >= 10.0
 
     def sampler(self) -> AvailabilityModel:
         """Markov model used to draw availability in simulations."""
@@ -199,9 +160,6 @@ class EjpContract:
             raise ValueError(f"{self.name}: value table must have days + 1 entries")
         if any(b < a - 1e-12 for a, b in zip(table, table[1:])):
             raise ValueError(f"{self.name}: value table must be nondecreasing")
-
-    def terminal_value(self, remaining: int) -> float:
-        return self.value_table[remaining]
 
 
 @dataclass

@@ -7,7 +7,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from varsched.bundle import BundleParams, _simplex_qp, maximize_dual
+from varsched.bundle import (PROX_MAX, PROX_MIN, BundleParams, _simplex_qp,
+                             maximize_dual)
 from varsched.oracles import default_multiplier, dual_oracle, RunMode
 from varsched.reference import solve_primal_reference
 
@@ -72,8 +73,7 @@ def test_trace_contract():
     assert res.oracle_calls == len(res.trace)
     best = [r.best for r in res.trace]
     assert all(b2 >= b1 for b1, b2 in zip(best, best[1:]))
-    p = BundleParams()
-    assert all(p.prox_min <= r.prox_weight <= p.prox_max for r in res.trace)
+    assert all(PROX_MIN <= r.prox_weight <= PROX_MAX for r in res.trace)
 
 
 def test_trace_csv_round_trips():

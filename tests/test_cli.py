@@ -106,6 +106,37 @@ def test_non_finite_literals_are_config_errors(demo_dir, tmp_path, name,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.fixture(scope="module")
+def benchmark_dir(tmp_path_factory):
+    out = tmp_path_factory.mktemp("benchmark")
+    assert main(["generate", "--preset", "benchmark", "--scenarios", "2",
+                 "--out", str(out)]) == 0
+    return out
+
+
+def test_optimize_rejects_units_of_another_instance(demo_dir, benchmark_dir,
+                                                    tmp_path):
+    out = tmp_path / "out"
+    code = main(["optimize", "--tree", str(demo_dir / "tree.json"),
+                 "--units", str(benchmark_dir / "units.json"),
+                 "--max-iter", "5", "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+
+
+def test_simulate_rejects_scenarios_of_another_instance(demo_dir,
+                                                        benchmark_dir,
+                                                        tmp_path):
+    out = tmp_path / "out"
+    assert main(["optimize"] + instance_flags(demo_dir, False)
+                + ["--max-iter", "5", "--out", str(out)]) == 0
+    code = main(["simulate"] + instance_flags(demo_dir, False)
+                + ["--scenarios", str(benchmark_dir / "scenarios.json"),
+                   "--out", str(out)])
+    assert code == 2
+    assert not (out / "nominal" / "costs.csv").exists()
+
+
 def test_validate_rejects_missing_file(tmp_path):
     code = main(["validate", "--tree", str(tmp_path / "nope.json")])
     assert code == 2
@@ -206,5 +237,18 @@ def test_unserveable_robust_instance_is_numerical_failure(demo_dir, tmp_path):
                     + ["--mode", "var_benef", "--eps2", "1e-6",
                        "--kappa-mode", "general", "--max-iter", "150",
                        "--out", str(out)])
+    assert code == 3
+    assert not (out / "var_benef" / "lambda.json").exists()
+
+
+def test_dual_above_cost_ceiling_is_numerical_failure(demo_dir, tmp_path):
+    # the general kappa at eps2 0.02 refuses every thermal unit; within 30
+    # iterations theta climbs to about 2e15, far above the 3.7e7 cost of
+    # running every plant flat out, which no feasible problem's dual can pass
+    out = tmp_path / "out"
+    code = main(["optimize"] + instance_flags(demo_dir, False)
+                + ["--mode", "var_benef", "--eps2", "0.02",
+                   "--kappa-mode", "general", "--max-iter", "30",
+                   "--out", str(out)])
     assert code == 3
     assert not (out / "var_benef" / "lambda.json").exists()

@@ -23,7 +23,7 @@ def test_from_breakpoints_roundtrip():
     np.testing.assert_allclose(bx, xs)
     np.testing.assert_allclose(by, ys)
     assert f(2.0) == pytest.approx(2.5)
-    assert f.x1 == 4.5 and f.y1 == pytest.approx(3.0)
+    assert f.x1 == 4.5
 
 
 def test_from_breakpoints_rejects_nonincreasing_x():
@@ -43,15 +43,6 @@ def test_is_concave():
     assert pwl.is_concave(pwl.from_breakpoints([0, 1, 2], [0, 2, 3]))
     assert not pwl.is_concave(pwl.ConcavePwl(0.0, 0.0, np.array([1.0, 2.0]),
                                              np.array([1.0, 1.0])))
-
-
-def test_constant():
-    f = pwl.constant(1.0, 4.0, 7.5)
-    assert f(2.3) == 7.5
-    g = pwl.constant(2.0, 2.0, 1.0)
-    assert g.x0 == g.x1 == 2.0 and g(2.0) == 1.0
-    with pytest.raises(ValueError):
-        pwl.constant(3.0, 2.0, 0.0)
 
 
 def test_scale_and_shift():

@@ -36,15 +36,12 @@ def test_canonical_order_and_probs():
 def test_multiplier_layout():
     tree = fork_tree()
     # flat[node_index * L + post], nodes sorted by (time, id)
-    assert tree.multiplier_index(3, 0) == 0
-    assert tree.multiplier_index(5, 1) == 3
-    assert tree.multiplier_index(7, 0) == 4
-    with pytest.raises(ValueError):
-        tree.multiplier_index(3, 2)
     flat = np.arange(6.0)
     cells = tree.cells(flat)
     assert cells.shape == (3, 2)
-    assert cells[2, 0] == 4.0
+    assert cells[tree.id_to_index[3], 0] == 0.0
+    assert cells[tree.id_to_index[5], 1] == 3.0
+    assert cells[tree.id_to_index[7], 0] == 4.0
     with pytest.raises(ValueError):
         tree.cells(np.arange(5.0))
 
